@@ -1,7 +1,8 @@
 """Shared benchmark configuration.
 
-Every paper artifact has a ``bench_*`` file here.  The benchmark body
-runs the corresponding experiment once (``rounds=1`` — these are
+Every paper artifact, ablation and extension is one case of
+``bench_experiments.py``.  The benchmark body runs the corresponding
+experiment once (``rounds=1`` — these are
 macro-benchmarks of a deterministic simulation, not micro-timings),
 prints the rendered artifact so the run doubles as the reproduction
 record, and asserts the experiment's shape checks.

@@ -182,6 +182,48 @@ def _compress_payload(
     return header, payload
 
 
+def frame_payload(
+    header: BlockHeader,
+    payload: BlockData,
+    *,
+    pool: Optional[object] = None,
+    vectored: bool = False,
+) -> Union[EncodedBlock, EncodedParts]:
+    """Frame a finished ``(header, payload)`` pair — the one header packer.
+
+    ``vectored=True`` keeps the two parts separate
+    (:class:`EncodedParts`); the payload is referenced, never copied.
+    Otherwise the frame is assembled in one preallocated buffer (header
+    packed in place, payload copied in exactly once) — carved from
+    ``pool`` (a :class:`~repro.core.buffers.BufferPool`) when given, in
+    which case the caller must ``release()`` the block once written.
+    Every encoder funnels through here, whichever thread or process ran
+    the codec, so the wire bytes cannot drift between paths.
+    """
+    fields = (
+        MAGIC,
+        FORMAT_VERSION,
+        header.codec_id,
+        header.flags,
+        header.uncompressed_len,
+        header.compressed_len,
+        header.crc32,
+    )
+    if vectored:
+        return EncodedParts(
+            header=header, header_bytes=HEADER.pack(*fields), payload=payload
+        )
+    buf = None
+    if pool is not None:
+        buf = pool.acquire(HEADER_SIZE + header.compressed_len)
+        frame = buf.view
+    else:
+        frame = bytearray(HEADER_SIZE + header.compressed_len)
+    HEADER.pack_into(frame, 0, *fields)
+    frame[HEADER_SIZE:] = payload
+    return EncodedBlock(frame=frame, header=header, buf=buf)
+
+
 def encode_block(
     data: BlockData,
     codec: Codec,
@@ -193,13 +235,12 @@ def encode_block(
 
     ``data`` may be ``bytes``, a ``bytearray`` or a C-contiguous
     ``memoryview`` — the stream layer passes zero-copy views of its
-    write buffer.  The frame is assembled in one preallocated buffer
-    (header packed in place with ``pack_into``, payload copied in
-    exactly once); the input is never copied to an intermediate object,
-    so a ``memoryview`` input costs a single payload copy total.
-    ``pool`` (a :class:`~repro.core.buffers.BufferPool`) reuses frame
-    buffers across blocks instead of allocating one per call; the
-    caller must then ``release()`` the block after writing it.
+    write buffer.  The input is never copied to an intermediate object,
+    so a ``memoryview`` input costs a single payload copy total (into
+    the frame, see :func:`frame_payload`).  ``pool`` (a
+    :class:`~repro.core.buffers.BufferPool`) reuses frame buffers across
+    blocks instead of allocating one per call; the caller must then
+    ``release()`` the block after writing it.
 
     If the codec expands the data and ``allow_stored_fallback`` is set,
     the block is stored raw (codec id 0) with ``FLAG_STORED_FALLBACK``
@@ -208,26 +249,7 @@ def encode_block(
     defensive copy is taken.
     """
     header, payload = _compress_payload(data, codec, allow_stored_fallback)
-    payload_len = header.compressed_len
-    buf = None
-    if pool is not None:
-        buf = pool.acquire(HEADER_SIZE + payload_len)
-        frame = buf.view
-    else:
-        frame = bytearray(HEADER_SIZE + payload_len)
-    HEADER.pack_into(
-        frame,
-        0,
-        MAGIC,
-        FORMAT_VERSION,
-        header.codec_id,
-        header.flags,
-        header.uncompressed_len,
-        header.compressed_len,
-        header.crc32,
-    )
-    frame[HEADER_SIZE:] = payload
-    return EncodedBlock(frame=frame, header=header, buf=buf)
+    return frame_payload(header, payload, pool=pool)
 
 
 def encode_block_parts(
@@ -243,16 +265,7 @@ def encode_block_parts(
     assembled frame.
     """
     header, payload = _compress_payload(data, codec, allow_stored_fallback)
-    header_bytes = HEADER.pack(
-        MAGIC,
-        FORMAT_VERSION,
-        header.codec_id,
-        header.flags,
-        header.uncompressed_len,
-        header.compressed_len,
-        header.crc32,
-    )
-    return EncodedParts(header=header, header_bytes=header_bytes, payload=payload)
+    return frame_payload(header, payload, vectored=True)
 
 
 def decode_header(raw: BlockData, *, max_len: Optional[int] = None) -> BlockHeader:

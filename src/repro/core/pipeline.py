@@ -53,26 +53,28 @@ direction:
 Both pipelines accept a :class:`~repro.core.buffers.BufferPool` to
 recycle frame/payload buffers instead of allocating per block.
 
-Both pipelines execute their codec jobs on a :class:`CodecThreadPool`.
-By default each pipeline owns a private pool sized by ``workers`` —
-exactly the historical one-pipeline-per-thread-set shape.  Passing
-``codec_pool=`` instead makes the pipeline one of many clients of a
-*shared* pool: the :mod:`repro.serve` connection manager runs every
-flow's compress and decompress jobs on one pool this way, so a daemon
-with hundreds of flows still holds one bounded set of codec threads.
-Ordering, windowing and error latching stay per-pipeline; only the
-execution substrate is shared.
+Both pipelines hand their codec jobs to a **codec pool** through one
+typed contract — ``submit_compress``/``submit_decompress`` with an
+``on_done`` completion callback (spelled out in
+:mod:`repro.core.procpool`) — and each holds one pool and one
+completion path, whichever pool it is:
 
-``backend="process"`` swaps the execution substrate for a
-:class:`~repro.core.procpool.CodecProcessPool` — codec jobs run in
-worker *processes* fed over shared-memory slabs, so even the GIL-bound
-parts of the job (pure-Python codecs, framing glue) scale with cores.
-The ordering, windowing, error-latching and byte-identity contracts
-are unchanged: only where the codec call executes differs.  Worker
-exceptions still re-raise at the call site (a worker-process *crash*
-surfaces as :class:`~repro.core.procpool.WorkerCrashedError`), and on
-platforms without shared-memory semantics the knob quietly degrades to
-the thread backend (see :func:`~repro.core.procpool.resolve_backend`).
+* :class:`CodecThreadPool` runs the jobs on worker threads (the
+  default).  ``zlib``/``bz2``/``lzma`` release the GIL, so threads
+  already compress in parallel.
+* :class:`~repro.core.procpool.CodecProcessPool` (``backend="process"``)
+  runs them in worker *processes* fed over shared-memory slabs, so even
+  the GIL-bound parts of a job scale with cores.  A worker-process
+  *crash* surfaces as :class:`~repro.core.procpool.WorkerCrashedError`,
+  and where shared memory is unavailable the knob degrades to threads
+  (see :func:`~repro.core.procpool.resolve_backend`).
+
+By default a pipeline owns a private pool sized by ``workers``.
+Passing ``codec_pool=`` instead makes it one of many clients of a
+*shared* pool, which it never closes: the :mod:`repro.serve` daemon
+runs every flow's jobs on shared pools this way.  Ordering, windowing,
+error latching and byte identity stay per pipeline; only where the
+codec call executes differs.
 
 Telemetry keeps PR 1's zero-cost-when-idle property: queue-depth gauges
 (:class:`~repro.telemetry.events.PipelineQueueDepth`), per-worker
@@ -86,31 +88,35 @@ from __future__ import annotations
 
 import queue
 import threading
-from typing import BinaryIO, Iterator, List, Optional, Union
+from functools import partial
+from typing import BinaryIO, Callable, Iterator, List, Optional, Tuple, Union
 
 from ..codecs.base import Codec
 from ..codecs.block import (
-    FORMAT_VERSION,
-    HEADER,
     HEADER_SIZE,
-    MAGIC,
     BlockData,
     BlockHeader,
     BlockReader,
     BlockWriter,
     EncodedBlock,
-    EncodedParts,
+    _compress_payload,
     decode_payload,
-    encode_block,
-    encode_block_parts,
+    frame_payload,
 )
 from ..codecs.errors import CodecError
 from ..codecs.registry import DEFAULT_REGISTRY, CodecRegistry
-from .buffers import BufferPool
-from .procpool import CodecProcessPool, _warn_fallback, resolve_backend
-from .recovery import ResyncBlockReader, ResyncFrameScanner
+from ..telemetry import spans
 from ..telemetry.events import BUS, BufferPoolStats, PipelineQueueDepth
-from ..telemetry.spans import span
+from .buffers import BufferPool
+from .procpool import (
+    CodecProcessPool,
+    _payload_bytes,
+    _release_payload,
+    _run_callback,
+    _warn_fallback,
+    resolve_backend,
+)
+from .recovery import ResyncBlockReader, ResyncFrameScanner
 
 __all__ = [
     "CodecThreadPool",
@@ -132,37 +138,48 @@ _SHUTDOWN = None
 class CodecThreadPool:
     """N worker threads executing codec jobs for any number of clients.
 
-    The execution substrate both pipelines run on — and the piece that
-    lets *many* of them share one set of threads: a pipeline (or a
-    :mod:`repro.serve` flow) submits self-contained job thunks, the
-    pool runs them on whichever worker frees up first, and the job
-    itself delivers its result back to its owner (in-order reassembly,
-    error latching and windowing stay with the owner, where the
-    ordering requirements live).
+    The default codec pool, and the piece that lets *many* pipelines
+    (or :mod:`repro.serve` flows) share one set of threads: owners
+    submit typed jobs — :meth:`submit_compress` /
+    :meth:`submit_decompress`, the same calls and contract as
+    :class:`~repro.core.procpool.CodecProcessPool` (see
+    :mod:`repro.core.procpool`) — the pool runs each on whichever worker
+    frees up first and hands the outcome to the job's ``on_done`` on
+    that worker.  In-order reassembly, error latching and windowing stay
+    with the owner, where the ordering requirements live.  The thread
+    pool never copies a payload: ``on_done`` receives the codec's own
+    output (or, for a stored fallback, the submitted ``data``).
 
-    Jobs are ``fn(worker_index)`` callables and must not raise: each
-    owner catches its own failures and latches them into its own error
-    state.  A job that raises anyway (an owner bug) is counted in
-    ``job_failures`` and recorded in ``last_internal_error`` — the
-    worker thread survives, because one misbehaving flow must never
-    take down the threads every other flow runs on.
+    Both typed calls ride on :meth:`submit`, which queues a plain
+    ``fn(worker_index)`` callable.  Such a job must not raise; one that
+    does anyway (an owner bug) is counted in ``job_failures`` and
+    recorded in ``last_internal_error``, and the worker thread survives,
+    because one misbehaving flow must never take down the threads every
+    other flow runs on.
 
     ``close`` drains already-queued jobs, then stops and joins every
-    worker.  Idempotent; ``submit`` after close raises.
+    worker; ``terminate`` fails the typed jobs still queued instead of
+    running them.  Both are idempotent; a submit after either raises.
     """
+
+    backend = "thread"
 
     def __init__(self, workers: int, *, name: str = "repro-codec") -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        self.name = name
         self._jobs: "queue.SimpleQueue" = queue.SimpleQueue()
         self._lock = threading.Lock()
         self._closed = False
+        #: Set by terminate(): queued typed jobs fail instead of running.
+        self._dropping = False
         #: Lifetime job counters (under ``_lock``); exposed via
         #: :meth:`stats` so shared-pool users can verify every flow
         #: really ran through this one pool.
         self.jobs_submitted = 0
         self.jobs_completed = 0
         self.job_failures = 0
+        self.callback_failures = 0
         self.last_internal_error: Optional[BaseException] = None
         self._threads = [
             threading.Thread(
@@ -194,13 +211,104 @@ class CodecThreadPool:
         with self._lock:
             return self.jobs_submitted - self.jobs_completed
 
-    def submit(self, fn) -> None:
+    def submit(self, fn: Callable[[int], None]) -> None:
         """Queue ``fn(worker_index)`` for execution on some worker."""
-        if self._closed:
-            raise ValueError("codec pool is closed")
         with self._lock:
+            if self._closed:
+                raise ValueError(f"{self.name}: pool is closed")
             self.jobs_submitted += 1
-        self._jobs.put(fn)
+            self._jobs.put(fn)
+
+    def submit_compress(
+        self,
+        data: BlockData,
+        codec: Codec,
+        *,
+        allow_stored_fallback: bool = True,
+        on_done: Callable[
+            [Optional[BaseException], Optional[BlockHeader], Optional[BlockData]], None
+        ],
+        span: Optional[str] = None,
+    ) -> None:
+        """Compress ``data`` with ``codec`` on a worker thread.
+
+        ``on_done(exc, header, payload)`` runs on that worker: either
+        ``exc`` is set, or ``header`` is the frame header and
+        ``payload`` the (possibly stored-fallback) payload.  ``span``
+        names the telemetry span around the codec call.
+        """
+
+        def job(index: int) -> None:
+            exc = header = payload = None
+            try:
+                if self._dropping:
+                    exc = self._dropped()
+                elif span is not None and BUS.active:
+                    with spans.span(span, worker=index, codec=codec.name):
+                        header, payload = _compress_payload(
+                            data, codec, allow_stored_fallback
+                        )
+                else:
+                    header, payload = _compress_payload(
+                        data, codec, allow_stored_fallback
+                    )
+            except BaseException as err:  # noqa: BLE001 - delivered to on_done
+                exc = self._failed(err)
+            _run_callback(self, on_done, exc, header, payload)
+
+        self.submit(job)
+
+    def submit_decompress(
+        self,
+        header: BlockHeader,
+        payload,
+        *,
+        check_crc: bool = False,
+        registry: CodecRegistry = DEFAULT_REGISTRY,
+        on_done: Callable[[Optional[BaseException], Optional[bytes]], None],
+        span: Optional[str] = None,
+    ) -> None:
+        """Decompress one frame payload on a worker thread.
+
+        ``on_done(exc, data)`` runs on that worker.  A pooled
+        ``payload`` is released once decoded (or refused, or dropped).
+        ``check_crc`` defaults to False because the block fetchers
+        verify the CRC before handing the payload over.
+        """
+        view = _payload_bytes(payload)
+
+        def job(index: int) -> None:
+            exc = data = None
+            try:
+                if self._dropping:
+                    exc = self._dropped()
+                elif span is not None and BUS.active:
+                    name = registry.get(header.codec_id).name
+                    with spans.span(span, worker=index, codec=name):
+                        data = decode_payload(
+                            header, view, registry, check_crc=check_crc
+                        )
+                else:
+                    data = decode_payload(header, view, registry, check_crc=check_crc)
+            except BaseException as err:  # noqa: BLE001 - delivered to on_done
+                exc = self._failed(err)
+            finally:
+                _release_payload(payload)
+            _run_callback(self, on_done, exc, data)
+
+        try:
+            self.submit(job)
+        except BaseException:
+            _release_payload(payload)
+            raise
+
+    def _failed(self, exc: BaseException) -> BaseException:
+        with self._lock:
+            self.job_failures += 1
+        return exc
+
+    def _dropped(self) -> BaseException:
+        return RuntimeError(f"{self.name}: pool terminated with the job queued")
 
     def _worker(self, index: int) -> None:
         while True:
@@ -219,16 +327,27 @@ class CodecThreadPool:
 
     def close(self) -> None:
         """Drain queued jobs, then stop and join the workers.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        for _ in self._threads:
-            self._jobs.put(_SHUTDOWN)
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            for _ in self._threads:
+                self._jobs.put(_SHUTDOWN)
         for thread in self._threads:
             thread.join()
 
+    def terminate(self) -> None:
+        """Teardown for abort paths: queued typed jobs are failed, not run.
+
+        Each dropped job's ``on_done`` gets an error and its pooled
+        payload is released; jobs already running finish, then every
+        worker is joined.  Idempotent, and safe after :meth:`close`.
+        """
+        self._dropping = True
+        self.close()
+
     def stats(self) -> dict:
-        """Counter snapshot (for telemetry events and tests)."""
+        """Counter snapshot; same keys as the process pool's."""
         with self._lock:
             return {
                 "workers": len(self._threads),
@@ -236,6 +355,11 @@ class CodecThreadPool:
                 "jobs_completed": self.jobs_completed,
                 "job_failures": self.job_failures,
                 "queued": self._jobs.qsize(),
+                "inline_jobs": 0,
+                "callback_failures": self.callback_failures,
+                "backend": self.backend,
+                "broken": False,
+                "slabs": None,
             }
 
     def __enter__(self) -> "CodecThreadPool":
@@ -245,8 +369,41 @@ class CodecThreadPool:
         self.close()
 
 
+#: Either codec pool: both take the same typed calls.
+CodecPool = Union[CodecThreadPool, CodecProcessPool]
+
+
+def _window(
+    codec_pool: Optional[CodecPool], workers: int, max_in_flight: Optional[int]
+) -> Tuple[int, int]:
+    """Validated ``(workers, max_in_flight)`` of one pipeline.
+
+    Runs before a pipeline starts its own pool, so bad arguments never
+    leak threads.  A shared pool is never closed by its clients;
+    ``workers`` (when given) then only sizes the default window.
+    """
+    if codec_pool is not None:
+        workers = workers if workers >= 1 else codec_pool.workers
+    elif workers < 1:
+        raise ValueError("workers must be >= 1")
+    if max_in_flight is None:
+        max_in_flight = DEFAULT_MAX_IN_FLIGHT_PER_WORKER * workers
+    if codec_pool is None and max_in_flight < workers:
+        raise ValueError("max_in_flight must be >= workers")
+    if max_in_flight < 1:
+        raise ValueError("max_in_flight must be >= 1")
+    return workers, max_in_flight
+
+
+def _own_pool(workers: int, backend: str, name: str) -> CodecPool:
+    """A private codec pool for one pipeline (closed by its owner)."""
+    if backend == "process":
+        return CodecProcessPool(workers, name=f"{name}-proc")
+    return CodecThreadPool(workers, name=name)
+
+
 class ParallelBlockEncoder:
-    """Compress framed blocks on worker threads, emit them in order.
+    """Compress framed blocks on a codec pool, emit them in order.
 
     Drop-in replacement for :class:`~repro.codecs.block.BlockWriter`
     on the write side of the stream layer: same ``write_block(data,
@@ -265,57 +422,35 @@ class ParallelBlockEncoder:
         allow_stored_fallback: bool = True,
         source: str = "pipeline",
         pool: Optional[BufferPool] = None,
-        codec_pool: Optional[CodecThreadPool] = None,
+        codec_pool: Optional[CodecPool] = None,
         backend: str = "thread",
     ) -> None:
-        self._codec_pool: Optional[CodecThreadPool] = None
-        self._proc_pool: Optional[CodecProcessPool] = None
+        workers, max_in_flight = _window(codec_pool, workers, max_in_flight)
+        self._owns_pool = codec_pool is None
         if codec_pool is None:
-            if workers < 1:
-                raise ValueError("workers must be >= 1")
-            if resolve_backend(backend, source=source) == "process":
-                self._proc_pool = CodecProcessPool(
-                    workers, name="repro-pipeline-proc"
-                )
-            else:
-                self._codec_pool = CodecThreadPool(workers, name="repro-pipeline")
-            self._owns_pool = True
-        else:
-            # Shared substrate: this encoder is one of many clients of
-            # ``codec_pool`` and must never stop or join it.  ``workers``
-            # (when given) only sizes the default in-flight window.  A
-            # shared pool may be either backend — the typed submit API
-            # is what marks a process pool.
-            if hasattr(codec_pool, "submit_compress"):
-                self._proc_pool = codec_pool
-            else:
-                self._codec_pool = codec_pool
-            self._owns_pool = False
-            workers = workers if workers >= 1 else codec_pool.workers
-        if max_in_flight is None:
-            max_in_flight = DEFAULT_MAX_IN_FLIGHT_PER_WORKER * workers
-        if self._owns_pool and max_in_flight < workers:
-            raise ValueError("max_in_flight must be >= workers")
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
+            codec_pool = _own_pool(
+                workers, resolve_backend(backend, source=source), "repro-pipeline"
+            )
+        self._codec_pool = codec_pool
         self._sink = sink
         # Vectored sinks take (header, payload) parts and the frame is
         # never assembled; otherwise frames go out contiguous, carved
         # from the pool when one is provided.
         self._sink_writev = getattr(sink, "writev", None)
-        self._pool = pool if self._sink_writev is None else None
+        self._vectored = self._sink_writev is not None
+        self._pool = pool if not self._vectored else None
         self._allow_stored_fallback = allow_stored_fallback
         self._source = source
         self._max_in_flight = max_in_flight
         self._cond = threading.Condition()
-        #: seq -> EncodedBlock, filled by workers, drained in order by
-        #: the producer thread (guarded by ``_cond``).
+        #: seq -> EncodedBlock | EncodedParts, filled by completions,
+        #: drained in order by the producer thread (guarded by ``_cond``).
         self._results: dict = {}
         self._error: Optional[BaseException] = None
         self._next_submit = 0
         self._next_emit = 0
         self._closed = False
-        #: After abort on a shared pool: jobs still queued there must
+        #: After close/abort: jobs still queued on a shared pool must
         #: drop (and release) their results instead of latching them.
         self._discard = False
         self.blocks_written = 0
@@ -329,121 +464,44 @@ class ParallelBlockEncoder:
 
     @property
     def workers(self) -> int:
-        return self.codec_pool.workers
+        return self._codec_pool.workers
 
     @property
-    def codec_pool(self):
-        """The thread or process pool this encoder's jobs run on."""
-        return self._codec_pool if self._codec_pool is not None else self._proc_pool
+    def codec_pool(self) -> CodecPool:
+        """The codec pool this encoder's jobs run on."""
+        return self._codec_pool
 
     @property
     def backend(self) -> str:
-        """Which execution substrate compress jobs run on."""
-        return "process" if self._proc_pool is not None else "thread"
+        """Which codec pool compress jobs run on."""
+        return self._codec_pool.backend
 
     @property
     def in_flight(self) -> int:
         """Blocks submitted but not yet framed to the sink."""
         return self._next_submit - self._next_emit
 
-    # -- worker side ------------------------------------------------
+    # -- completion (pool thread) -----------------------------------
 
-    def _run_job(self, index: int, seq: int, data: BlockData, codec: Codec) -> None:
-        """One compress job, run on a pool worker thread."""
-        try:
-            if BUS.active:
-                with span("pipeline.compress", worker=index, codec=codec.name):
-                    block = self._encode(data, codec)
-            else:
-                block = self._encode(data, codec)
-        except BaseException as exc:  # noqa: BLE001 - re-raised at call site
-            with self._cond:
-                if self._error is None:
-                    self._error = exc
-                self._cond.notify_all()
-        else:
-            with self._cond:
-                if self._discard:
-                    # Aborted while this job sat in a shared pool's
-                    # queue: nobody will emit it, so return its buffer.
-                    block.release()
-                    return
-                self._results[seq] = block
-                self._cond.notify_all()
-
-    def _encode(self, data: BlockData, codec: Codec):
-        """One worker's encode step: parts for vectored sinks, else a
-        (possibly pool-backed) contiguous frame."""
-        if self._sink_writev is not None:
-            return encode_block_parts(
-                data, codec, allow_stored_fallback=self._allow_stored_fallback
+    def _done(self, seq: int, data: BlockData, exc, header, payload) -> None:
+        """Frame one finished block, or latch its error."""
+        if exc is None:
+            if self._vectored and not (payload is data or isinstance(payload, bytes)):
+                # Parts outlive this call; a pool view does not.
+                payload = bytes(payload)
+            block = frame_payload(
+                header, payload, pool=self._pool, vectored=self._vectored
             )
-        return encode_block(
-            data,
-            codec,
-            allow_stored_fallback=self._allow_stored_fallback,
-            pool=self._pool,
-        )
-
-    def _assemble(self, header: BlockHeader, payload: BlockData):
-        """Frame a process-worker result (compressed on another core;
-        only the cheap header packing happens here).  The payload view
-        is only valid during this call, so it is copied exactly once —
-        into the outgoing frame (or a ``bytes`` for vectored sinks)."""
-        plen = header.compressed_len
-        if self._sink_writev is not None:
-            header_bytes = HEADER.pack(
-                MAGIC,
-                FORMAT_VERSION,
-                header.codec_id,
-                header.flags,
-                header.uncompressed_len,
-                plen,
-                header.crc32,
-            )
-            return EncodedParts(
-                header=header, header_bytes=header_bytes, payload=bytes(payload)
-            )
-        buf = None
-        if self._pool is not None:
-            buf = self._pool.acquire(HEADER_SIZE + plen)
-            frame = buf.view
-        else:
-            frame = bytearray(HEADER_SIZE + plen)
-        HEADER.pack_into(
-            frame,
-            0,
-            MAGIC,
-            FORMAT_VERSION,
-            header.codec_id,
-            header.flags,
-            header.uncompressed_len,
-            plen,
-            header.crc32,
-        )
-        frame[HEADER_SIZE:] = payload
-        return EncodedBlock(frame=frame, header=header, buf=buf)
-
-    def _proc_done(
-        self,
-        seq: int,
-        exc: Optional[BaseException],
-        header: Optional[BlockHeader],
-        payload: Optional[BlockData],
-    ) -> None:
-        """Process-pool completion callback (runs on its collector)."""
-        if exc is not None:
-            with self._cond:
-                if self._error is None:
-                    self._error = exc
-                self._cond.notify_all()
-            return
-        block = self._assemble(header, payload)
         with self._cond:
-            if self._discard:
+            if exc is not None:
+                if self._error is None:
+                    self._error = exc
+            elif self._discard:
+                # Nobody will emit this frame: return its buffer.
                 block.release()
                 return
-            self._results[seq] = block
+            else:
+                self._results[seq] = block
             self._cond.notify_all()
 
     # -- producer side ----------------------------------------------
@@ -474,13 +532,13 @@ class ParallelBlockEncoder:
     def _write_out(self, blocks: List[EncodedBlock]) -> None:
         """Write finished frames to the sink (producer thread, no lock)."""
         for block in blocks:
-            if self._sink_writev is not None:
+            if self._vectored:
                 self._sink_writev((block.header_bytes, block.payload))
             self.blocks_written += 1
             # Count before release(): a pool-backed frame's length is
             # unreadable once its view has gone back to the pool.
             self.bytes_out += block.frame_len
-            if self._sink_writev is None:
+            if not self._vectored:
                 self._sink.write(block.frame)
                 block.release()
 
@@ -491,7 +549,7 @@ class ParallelBlockEncoder:
         submission order.  ``data`` must not be mutated until the block
         has been emitted (pass ``bytes`` or a view of an immutable
         buffer); the stream layer's detached-snapshot carving satisfies
-        this by construction.
+        this by construction.  A pool that refuses the job raises here.
         """
         if self._closed:
             raise ValueError("encoder is closed")
@@ -499,32 +557,23 @@ class ParallelBlockEncoder:
         while self._next_submit - self._next_emit >= self._max_in_flight:
             self._write_out(self._collect_ready(wait_for_head=True))
         seq = self._next_submit
+        self._codec_pool.submit_compress(
+            data,
+            codec,
+            allow_stored_fallback=self._allow_stored_fallback,
+            span="pipeline.compress",
+            on_done=partial(self._done, seq, data),
+        )
         self._next_submit += 1
         self.bytes_in += data.nbytes if isinstance(data, memoryview) else len(data)
-        if self._proc_pool is not None:
-            self._proc_pool.submit_compress(
-                data,
-                codec,
-                allow_stored_fallback=self._allow_stored_fallback,
-                on_done=lambda exc, header, payload, seq=seq: self._proc_done(
-                    seq, exc, header, payload
-                ),
-            )
-        else:
-            self._codec_pool.submit(
-                lambda index, seq=seq, data=data, codec=codec: self._run_job(
-                    index, seq, data, codec
-                )
-            )
         if BUS.active:
-            pool = self.codec_pool
             BUS.publish(
                 PipelineQueueDepth(
                     ts=BUS.now(),
                     source=self._source,
-                    depth=pool.qsize(),
+                    depth=self._codec_pool.qsize(),
                     in_flight=self._next_submit - self._next_emit,
-                    workers=pool.workers,
+                    workers=self._codec_pool.workers,
                 )
             )
 
@@ -537,8 +586,8 @@ class ParallelBlockEncoder:
         """Drain in-flight blocks, then stop and join the workers.
 
         Idempotent.  A latched worker error is re-raised after the
-        workers have been joined, so the thread pool never leaks even
-        on the failure path.
+        workers have been joined, so the pool never leaks even on the
+        failure path.
         """
         if self._closed:
             return
@@ -546,7 +595,7 @@ class ParallelBlockEncoder:
         try:
             self.flush()
         finally:
-            self._shutdown_workers()
+            self._shutdown_workers(drain=True)
             if self._pool is not None and BUS.active:
                 BUS.publish(
                     BufferPoolStats(
@@ -571,21 +620,17 @@ class ParallelBlockEncoder:
             self._next_emit = self._next_submit
             self._error = None
 
-    def _shutdown_workers(self, *, drain: bool = True) -> None:
+    def _shutdown_workers(self, *, drain: bool) -> None:
         # From here on any job still queued (possible when the pool is
         # shared, or on the owned-pool error path) drops its result.
         with self._cond:
             self._discard = True
         if self._owns_pool:
-            if self._proc_pool is not None:
-                # close() drains worker processes; the abort path must
-                # never wait on them (the sink is already broken).
-                if drain:
-                    self._proc_pool.close()
-                else:
-                    self._proc_pool.terminate()
-            else:
+            if drain:
                 self._codec_pool.close()
+            else:
+                # The sink is already broken: never wait on queued work.
+                self._codec_pool.terminate()
         with self._cond:
             for block in self._results.values():
                 block.release()
@@ -606,7 +651,7 @@ def make_block_encoder(
     max_in_flight: Optional[int] = None,
     source: str = "pipeline",
     pool: Optional[BufferPool] = None,
-    codec_pool: Optional[CodecThreadPool] = None,
+    codec_pool: Optional[CodecPool] = None,
     backend: str = "thread",
 ) -> Union[BlockWriter, ParallelBlockEncoder]:
     """Serial or parallel block encoder behind one interface.
@@ -617,30 +662,23 @@ def make_block_encoder(
     overhead.  ``workers>1`` returns a :class:`ParallelBlockEncoder`.
     ``pool`` recycles frame buffers on the parallel path; the serial
     writer hands frames back to its caller, so it never pools them.
-    ``codec_pool`` routes compress jobs to a shared
-    :class:`CodecThreadPool` (always the parallel class then, whatever
-    ``workers`` says) instead of spawning threads owned by this encoder.
+    ``codec_pool`` routes compress jobs to a shared codec pool of
+    either kind (always the parallel class then, whatever ``workers``
+    says) instead of one owned by this encoder.
     ``backend="process"`` runs codec jobs on worker processes
     (:class:`~repro.core.procpool.CodecProcessPool`) — even at
     ``workers=1`` that returns the parallel class, because a single
     worker process still takes the codec off the producer's core.  The
     knob degrades to threads where the process backend is unavailable.
     """
-    if codec_pool is not None:
-        return ParallelBlockEncoder(
-            sink,
-            workers=workers if workers > 1 else 0,
-            max_in_flight=max_in_flight,
-            allow_stored_fallback=allow_stored_fallback,
-            source=source,
-            pool=pool,
-            codec_pool=codec_pool,
-        )
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    backend = resolve_backend(backend, source=source)
-    if workers == 1 and backend == "thread":
-        return BlockWriter(sink, allow_stored_fallback=allow_stored_fallback)
+    if codec_pool is None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        backend = resolve_backend(backend, source=source)
+        if workers == 1 and backend == "thread":
+            return BlockWriter(sink, allow_stored_fallback=allow_stored_fallback)
+    elif workers == 1:
+        workers = 0  # the shared pool's size sets the default window
     return ParallelBlockEncoder(
         sink,
         workers=workers,
@@ -648,6 +686,7 @@ def make_block_encoder(
         allow_stored_fallback=allow_stored_fallback,
         source=source,
         pool=pool,
+        codec_pool=codec_pool,
         backend=backend,
     )
 
@@ -662,7 +701,7 @@ class _SkippedFrame:
 
 
 class ParallelBlockDecoder:
-    """Decompress framed blocks on worker threads, yield them in order.
+    """Decompress framed blocks on a codec pool, yield them in order.
 
     Drop-in replacement for :class:`~repro.codecs.block.BlockReader`
     (and, with ``resync=True``, for
@@ -695,43 +734,23 @@ class ParallelBlockDecoder:
         resync: bool = False,
         pool: Optional[BufferPool] = None,
         event_source: str = "decode-pipeline",
-        codec_pool: Optional[CodecThreadPool] = None,
+        codec_pool: Optional[CodecPool] = None,
         backend: str = "thread",
     ) -> None:
-        self._codec_pool: Optional[CodecThreadPool] = None
-        self._proc_pool: Optional[CodecProcessPool] = None
+        workers, max_in_flight = _window(codec_pool, workers, max_in_flight)
+        self._owns_pool = codec_pool is None
         if codec_pool is None:
-            if workers < 1:
-                raise ValueError("workers must be >= 1")
             backend = resolve_backend(backend, source=event_source)
             if backend == "process" and registry is not DEFAULT_REGISTRY:
-                # Worker processes resolve codecs from their own default
-                # registry; a custom registry cannot follow them there.
+                # A process pool refuses a custom registry; an owned
+                # pool can still pick threads instead.
                 _warn_fallback(
                     event_source,
                     "custom codec registry cannot cross the process boundary",
                 )
                 backend = "thread"
-            if backend == "process":
-                self._proc_pool = CodecProcessPool(workers, name="repro-decode-proc")
-            else:
-                self._codec_pool = CodecThreadPool(workers, name="repro-decode")
-            self._owns_pool = True
-        else:
-            # Shared substrate (see ParallelBlockEncoder): never stopped
-            # or joined by this decoder.
-            if hasattr(codec_pool, "submit_decompress"):
-                self._proc_pool = codec_pool
-            else:
-                self._codec_pool = codec_pool
-            self._owns_pool = False
-            workers = workers if workers >= 1 else codec_pool.workers
-        if max_in_flight is None:
-            max_in_flight = DEFAULT_MAX_IN_FLIGHT_PER_WORKER * workers
-        if self._owns_pool and max_in_flight < workers:
-            raise ValueError("max_in_flight must be >= workers")
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
+            codec_pool = _own_pool(workers, backend, "repro-decode")
+        self._codec_pool = codec_pool
         self._registry = registry
         self._resync = resync
         self._pool = pool
@@ -782,17 +801,17 @@ class ParallelBlockDecoder:
 
     @property
     def workers(self) -> int:
-        return self.codec_pool.workers
+        return self._codec_pool.workers
 
     @property
-    def codec_pool(self):
-        """The thread or process pool this decoder's jobs run on."""
-        return self._codec_pool if self._codec_pool is not None else self._proc_pool
+    def codec_pool(self) -> CodecPool:
+        """The codec pool this decoder's jobs run on."""
+        return self._codec_pool
 
     @property
     def backend(self) -> str:
-        """Which execution substrate decompress jobs run on."""
-        return "process" if self._proc_pool is not None else "thread"
+        """Which codec pool decompress jobs run on."""
+        return self._codec_pool.backend
 
     @property
     def bytes_in(self) -> int:
@@ -861,51 +880,34 @@ class ParallelBlockDecoder:
                 self._fetched += 1
             header, payload = frame
             try:
-                if self._proc_pool is not None:
-                    # submit_decompress stages the payload into a shared
-                    # slab synchronously, so the fetch buffer can go
-                    # back to the pool before the job even runs.
-                    buffer = payload.view if hasattr(payload, "view") else payload
-                    try:
-                        self._proc_pool.submit_decompress(
-                            header,
-                            buffer,
-                            check_crc=False,
-                            on_done=lambda exc, data, seq=seq, header=header: (
-                                self._proc_done(seq, header, exc, data)
-                            ),
-                        )
-                    finally:
-                        if hasattr(payload, "release"):
-                            payload.release()
-                else:
-                    self._codec_pool.submit(
-                        lambda index, seq=seq, header=header, payload=payload: (
-                            self._run_job(index, seq, header, payload)
-                        )
-                    )
-            except BaseException as exc:  # noqa: BLE001 - broken/closed pool
+                self._codec_pool.submit_decompress(
+                    header,
+                    payload,
+                    registry=self._registry,
+                    span="pipeline.decompress",
+                    on_done=partial(self._done, seq, header),
+                )
+            except BaseException as exc:  # noqa: BLE001 - refused by the pool
                 with self._cond:
                     self._latch_error(exc, seq)
                     self._fetch_done = True
                     self._cond.notify_all()
                 return
             if BUS.active:
-                pool = self.codec_pool
                 BUS.publish(
                     PipelineQueueDepth(
                         ts=BUS.now(),
                         source=self._event_source,
-                        depth=pool.qsize(),
+                        depth=self._codec_pool.qsize(),
                         in_flight=seq + 1 - self._next_emit,
-                        workers=pool.workers,
+                        workers=self._codec_pool.workers,
                     )
                 )
         with self._cond:
             self._fetch_done = True
             self._cond.notify_all()
 
-    # -- worker side ------------------------------------------------
+    # -- completion (pool thread) -----------------------------------
 
     def _latch_error(self, exc: BaseException, seq: int) -> None:
         """Record the earliest-seq failure (caller holds ``_cond``)."""
@@ -913,85 +915,26 @@ class ParallelBlockDecoder:
             self._error = exc
             self._error_seq = seq
 
-    def _decode_one(self, header, payload) -> bytes:
-        buffer = payload.view if hasattr(payload, "view") else payload
-        try:
-            return decode_payload(header, buffer, self._registry, check_crc=False)
-        finally:
-            if hasattr(payload, "release"):
-                payload.release()
+    def _done(self, seq: int, header: BlockHeader, exc, data) -> None:
+        """Store one decoded block, a resync skip, or the error.
 
-    def _run_job(self, index: int, seq: int, header, payload) -> None:
-        """One decompress job, run on a pool worker thread."""
-        if self._discard:
-            # Aborted while this job sat in a shared pool's queue:
-            # don't burn a worker on a block nobody will read.
-            if hasattr(payload, "release"):
-                payload.release()
-            return
-        try:
-            if BUS.active:
-                codec_name = self._registry.get(header.codec_id).name
-                with span(
-                    "pipeline.decompress", worker=index, codec=codec_name
-                ):
-                    data = self._decode_one(header, payload)
-            else:
-                data = self._decode_one(header, payload)
-        except CodecError as exc:
-            if self._resync:
-                # CRC already matched, so this is a post-checksum
-                # decode failure: count the frame as skipped and
-                # keep the stream going (see class docstring).
-                marker = _SkippedFrame(HEADER_SIZE + header.compressed_len)
-                with self._cond:
-                    self._results[seq] = marker
-                    self._cond.notify_all()
-            else:
-                with self._cond:
-                    self._latch_error(exc, seq)
-                    self._cond.notify_all()
-        except BaseException as exc:  # noqa: BLE001 - re-raised at call site
-            with self._cond:
-                self._latch_error(exc, seq)
-                self._cond.notify_all()
-        else:
-            with self._cond:
-                if self._discard:
-                    return
-                self._results[seq] = data
-                self._cond.notify_all()
-
-    def _proc_done(
-        self,
-        seq: int,
-        header,
-        exc: Optional[BaseException],
-        data: Optional[BlockData],
-    ) -> None:
-        """Process-pool completion callback (runs on its collector).
-
-        Mirrors :meth:`_run_job`'s result handling, including the
-        resync rule: a post-CRC codec failure becomes one skipped frame
-        instead of a latched error.  ``data`` may be a shared-slab view
-        valid only during this call, so it is materialised here.
+        The fetcher verified the CRC, so in resync mode a codec failure
+        here is post-checksum: the frame counts as skipped and the
+        stream goes on (see the class docstring).
         """
-        if exc is not None:
-            if self._resync and isinstance(exc, CodecError):
-                marker = _SkippedFrame(HEADER_SIZE + header.compressed_len)
-                with self._cond:
-                    self._results[seq] = marker
-                    self._cond.notify_all()
-            else:
-                with self._cond:
-                    self._latch_error(exc, seq)
-                    self._cond.notify_all()
-            return
-        block = data if isinstance(data, bytes) else bytes(data)
+        if exc is None:
+            result = data if isinstance(data, bytes) else bytes(data)
+        elif self._resync and isinstance(exc, CodecError):
+            result = _SkippedFrame(HEADER_SIZE + header.compressed_len)
+        else:
+            result = None
         with self._cond:
             if self._discard:
                 return
-            self._results[seq] = block
+            if result is None:
+                self._latch_error(exc, seq)
+            else:
+                self._results[seq] = result
             self._cond.notify_all()
 
     # -- consumer side ----------------------------------------------
@@ -1064,19 +1007,16 @@ class ParallelBlockDecoder:
 
     def _shutdown_threads(self) -> None:
         self._stop = True
-        self._discard = True
+        with self._cond:
+            self._discard = True
         # Wake the fetcher if it is parked on a full window (one permit
         # is enough: it re-checks ``_stop`` right after acquiring).
         self._window.release()
         self._fetcher.join()
         if self._owns_pool:
-            if self._proc_pool is not None:
-                # The decoder's close() discards unread work by
-                # contract, so the kill-now teardown is always right:
-                # never decompress blocks nobody will read.
-                self._proc_pool.terminate()
-            else:
-                self._codec_pool.close()
+            # close() discards unread work by contract, so never
+            # decompress blocks nobody will read.
+            self._codec_pool.terminate()
         with self._cond:
             self._results.clear()
 
@@ -1104,7 +1044,7 @@ def make_block_decoder(
     max_in_flight: Optional[int] = None,
     pool: Optional[BufferPool] = None,
     event_source: str = "decode-pipeline",
-    codec_pool: Optional[CodecThreadPool] = None,
+    codec_pool: Optional[CodecPool] = None,
     backend: str = "thread",
 ) -> Union[BlockReader, ResyncBlockReader, ParallelBlockDecoder]:
     """Serial or parallel block decoder behind one interface.
@@ -1114,33 +1054,25 @@ def make_block_decoder(
     :class:`~repro.core.recovery.ResyncBlockReader` — i.e. exactly
     today's code path with zero threading overhead.  ``workers>1``
     returns a :class:`ParallelBlockDecoder`.  ``codec_pool`` routes
-    decompress jobs to a shared :class:`CodecThreadPool` (always the
-    parallel class then) instead of threads owned by this decoder.
+    decompress jobs to a shared codec pool of either kind (always the
+    parallel class then) instead of one owned by this decoder; a shared
+    process pool refuses a custom ``registry``, so reading raises
+    instead of decoding with the workers' default codecs.
     ``backend="process"`` decompresses on worker processes (see
     :func:`make_block_encoder`); it returns the parallel class even at
     ``workers=1`` and degrades to threads when unavailable (or when a
-    custom ``registry`` is in play — codecs cannot follow the jobs
-    across the process boundary).
+    custom ``registry`` is in play).
     """
-    if codec_pool is not None:
-        return ParallelBlockDecoder(
-            source,
-            registry,
-            workers=workers if workers > 1 else 0,
-            max_in_flight=max_in_flight,
-            max_block_len=max_block_len,
-            resync=resync,
-            pool=pool,
-            event_source=event_source,
-            codec_pool=codec_pool,
-        )
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    backend = resolve_backend(backend, source=event_source)
-    if workers == 1 and backend == "thread":
-        if resync:
-            return ResyncBlockReader(source, registry, max_block_len=max_block_len)
-        return BlockReader(source, registry, max_block_len=max_block_len, pool=pool)
+    if codec_pool is None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        backend = resolve_backend(backend, source=event_source)
+        if workers == 1 and backend == "thread":
+            if resync:
+                return ResyncBlockReader(source, registry, max_block_len=max_block_len)
+            return BlockReader(source, registry, max_block_len=max_block_len, pool=pool)
+    elif workers == 1:
+        workers = 0  # the shared pool's size sets the default window
     return ParallelBlockDecoder(
         source,
         registry,
@@ -1150,5 +1082,6 @@ def make_block_decoder(
         resync=resync,
         pool=pool,
         event_source=event_source,
+        codec_pool=codec_pool,
         backend=backend,
     )

@@ -39,14 +39,32 @@ Design constraints, in order:
   one-time log warning plus a
   :class:`~repro.telemetry.events.CodecBackendFallback` event.
 
-The submit API is deliberately *typed* rather than the thread pool's
-``submit(closure)`` — closures cannot cross a process boundary — but
-the drain/ownership contract (``close`` drains, errors surface at the
-call site, ``stats()`` superset) matches
-:class:`~repro.core.pipeline.CodecThreadPool`, which is what lets
-:class:`~repro.core.pipeline.ParallelBlockEncoder` and
-:class:`~repro.core.pipeline.ParallelBlockDecoder` treat the two
-backends uniformly.
+**One contract for both pools.**  Closures cannot cross a process
+boundary, so codec work is submitted as typed calls —
+:meth:`~CodecProcessPool.submit_compress` and
+:meth:`~CodecProcessPool.submit_decompress` — and
+:class:`~repro.core.pipeline.CodecThreadPool` takes exactly the same
+calls.  The rules both pools keep:
+
+* ``on_done(exc, header, payload)`` / ``on_done(exc, data)`` runs on a
+  pool thread once per accepted job: the codec's error, or its result.
+  A result buffer is valid only during the call unless it is ``bytes``
+  or (stored fallback) the submitted ``data`` itself; copy out anything
+  else that must outlive it.
+* A decompress payload may be a pooled buffer
+  (:class:`~repro.core.buffers.PooledBuffer`); the pool then owns it
+  and releases it exactly once — after the job has consumed it, when
+  the submit is refused, or when :meth:`terminate` drops the job.
+* A refused submit (closed or broken pool, foreign registry) raises at
+  the caller; ``close()`` drains, ``terminate()`` fails what is still
+  queued; ``backend`` names the pool and ``stats()`` has one key set.
+* ``span`` names the telemetry span the job runs under, tagged with the
+  worker index and codec; worker processes have no event bus, so only
+  the thread pool opens it.
+
+That is what lets :class:`~repro.core.pipeline.ParallelBlockEncoder`,
+:class:`~repro.core.pipeline.ParallelBlockDecoder` and the serve
+daemon's flows hold either pool with one completion path.
 """
 
 from __future__ import annotations
@@ -56,14 +74,15 @@ import multiprocessing
 import os
 import pickle
 import threading
+from collections import namedtuple
 from multiprocessing import connection as _mp_connection
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..codecs.block import BlockData, BlockHeader, _compress_payload, _nbytes, decode_payload
 from ..codecs.errors import CodecError
-from ..codecs.registry import DEFAULT_REGISTRY
+from ..codecs.registry import DEFAULT_REGISTRY, CodecRegistry
 from ..telemetry.events import BUS, CodecBackendFallback
-from .buffers import DEFAULT_SLAB_SIZE, SharedSlab, SharedSlabPool
+from .buffers import DEFAULT_SLAB_SIZE, PooledBuffer, SharedSlabPool
 
 __all__ = [
     "CodecProcessPool",
@@ -276,6 +295,38 @@ def _load_exc(blob: Optional[bytes], text: str, is_codec: bool) -> BaseException
 
 
 # --------------------------------------------------------------------------
+# Contract helpers shared with the thread pool
+# --------------------------------------------------------------------------
+
+
+def _payload_bytes(payload) -> BlockData:
+    """The byte buffer behind a submitted payload, pooled or plain."""
+    return payload.view if isinstance(payload, PooledBuffer) else payload
+
+
+def _release_payload(payload) -> None:
+    """Give a pooled payload back; plain buffers belong to the caller."""
+    if isinstance(payload, PooledBuffer):
+        payload.release()
+
+
+def _run_callback(pool, on_done: Callable, *args) -> None:
+    """Deliver one job outcome to its owner's ``on_done``.
+
+    A callback that raises is its owner's bug: it is counted in the
+    pool's ``callback_failures`` and logged, and the pool thread that
+    delivered it keeps serving every other owner.
+    """
+    try:
+        on_done(*args)
+    except BaseException as exc:  # noqa: BLE001 - pool thread must survive
+        with pool._lock:
+            pool.callback_failures += 1
+            pool.last_internal_error = exc
+        logger.exception("%s: on_done callback failed", pool.name)
+
+
+# --------------------------------------------------------------------------
 # Worker process
 # --------------------------------------------------------------------------
 #
@@ -382,40 +433,26 @@ def _worker_main(index: int, shm_name: Optional[str], slab_size: int, jobs, conn
 # --------------------------------------------------------------------------
 
 
-class _Job:
-    __slots__ = ("kind", "slab", "on_done", "header")
-
-    def __init__(
-        self,
-        kind: str,
-        slab: Optional[SharedSlab],
-        on_done: Callable,
-        header: Optional[BlockHeader] = None,
-    ) -> None:
-        self.kind = kind
-        self.slab = slab
-        self.on_done = on_done
-        self.header = header
+#: One accepted job: kind ("c"/"d"), its slab (None when inline) and
+#: the owner's completion callback.
+_Job = namedtuple("_Job", "kind slab on_done")
 
 
 class CodecProcessPool:
     """N codec worker processes fed over shared-memory slabs.
 
     The process-backed sibling of
-    :class:`~repro.core.pipeline.CodecThreadPool`: same ownership and
-    drain contract (``close()`` finishes queued jobs then joins;
-    ``stats()`` is a superset of the thread pool's keys; job errors
-    surface at the submitting call site), but with a typed submit API —
-    :meth:`submit_compress` / :meth:`submit_decompress` — because
-    closures cannot cross process boundaries.
+    :class:`~repro.core.pipeline.CodecThreadPool`, taking the same typed
+    calls under the same contract (see the module docstring).
 
     Completion is delivered by calling the job's ``on_done`` on the
-    pool's collector thread.  Any buffer handed to ``on_done`` is valid
-    **only for the duration of the call** (it may be a view of a shared
-    slab that is recycled immediately after); callbacks must copy out
-    what they keep, and must not block on work that needs further pool
-    results.
+    pool's collector thread.  A result handed to ``on_done`` is usually
+    a view of a shared slab that is recycled right after the call;
+    callbacks must copy out what they keep, and must not block on work
+    that needs further pool results.
     """
+
+    backend = "process"
 
     def __init__(
         self,
@@ -511,13 +548,15 @@ class CodecProcessPool:
         on_done: Callable[
             [Optional[BaseException], Optional[BlockHeader], Optional[BlockData]], None
         ],
+        span: Optional[str] = None,
     ) -> None:
         """Compress ``data`` with ``codec`` on a worker process.
 
         ``on_done(exc, header, payload)`` runs on the collector thread:
         either ``exc`` is set, or ``header`` is the frame header and
         ``payload`` the (possibly stored-fallback) payload bytes, valid
-        only during the call.
+        only during the call.  ``span`` is unused here (see the module
+        docstring).
         """
         codec_id = codec.codec_id
         codec_blob = None
@@ -534,18 +573,36 @@ class CodecProcessPool:
     def submit_decompress(
         self,
         header: BlockHeader,
-        payload: BlockData,
+        payload,
         *,
         check_crc: bool = False,
+        registry: CodecRegistry = DEFAULT_REGISTRY,
         on_done: Callable[[Optional[BaseException], Optional[BlockData]], None],
+        span: Optional[str] = None,
     ) -> None:
         """Decompress one frame payload on a worker process.
 
         ``on_done(exc, data)`` runs on the collector thread; ``data``
         is the decompressed bytes, valid only during the call.
-        ``check_crc`` defaults to False because every fetcher in this
-        codebase verifies the CRC before handing the payload over.
+        ``check_crc`` defaults to False because the block fetchers
+        verify the CRC before handing the payload over.  A pooled
+        ``payload`` is staged into shared memory and released before
+        this returns.  Workers resolve codecs from their own
+        ``DEFAULT_REGISTRY``, so any other ``registry`` is refused with
+        ``ValueError`` rather than silently decoded with the wrong one.
+        ``span`` is unused here (see the module docstring).
         """
+        try:
+            if registry is not DEFAULT_REGISTRY:
+                raise ValueError(
+                    f"{self.name}: a custom codec registry cannot cross "
+                    "the process boundary"
+                )
+            slab, slab_index, nbytes, inline = self._stage_payload(
+                _payload_bytes(payload)
+            )
+        finally:
+            _release_payload(payload)
         ht = (
             header.codec_id,
             header.flags,
@@ -553,20 +610,17 @@ class CodecProcessPool:
             header.compressed_len,
             header.crc32,
         )
-        slab, slab_index, nbytes, inline = self._stage_payload(payload)
-        token = self._add_job(_Job("d", slab, on_done, header))
+        token = self._add_job(_Job("d", slab, on_done))
         self._jobs.put(("d", token, slab_index, nbytes, inline, ht, check_crc))
 
     # -- completion --------------------------------------------------------
 
-    def _safe_done(self, job: _Job, *args) -> None:
-        try:
-            job.on_done(*args)
-        except BaseException as exc:  # noqa: BLE001 - collector must survive
-            with self._lock:
-                self.callback_failures += 1
-                self.last_internal_error = exc
-            logger.exception("%s: on_done callback failed", self.name)
+    def _fail(self, job: _Job, exc: BaseException) -> None:
+        """Deliver ``exc`` as the job's outcome (its slab stays with the caller)."""
+        if job.kind == "c":
+            _run_callback(self, job.on_done, exc, None, None)
+        else:
+            _run_callback(self, job.on_done, exc, None)
 
     def _deliver(self, msg) -> None:
         token = msg[1]
@@ -585,19 +639,16 @@ class CodecProcessPool:
                 with self._lock:
                     self.jobs_completed += 1
                 if job.kind == "c":
-                    self._safe_done(job, None, BlockHeader(*ht), out)
+                    _run_callback(self, job.on_done, None, BlockHeader(*ht), out)
                 else:
-                    self._safe_done(job, None, out)
+                    _run_callback(self, job.on_done, None, out)
             else:
                 _, _, blob, text, is_codec = msg
                 exc = _load_exc(blob, text, is_codec)
                 with self._lock:
                     self.jobs_completed += 1
                     self.job_failures += 1
-                if job.kind == "c":
-                    self._safe_done(job, exc, None, None)
-                else:
-                    self._safe_done(job, exc, None)
+                self._fail(job, exc)
         finally:
             if isinstance(out, memoryview):
                 out.release()
@@ -631,26 +682,18 @@ class CodecProcessPool:
             if self._broken:
                 return
             self._broken = True
-            pending = list(self._pending.items())
-            self._pending.clear()
+            in_flight = len(self._pending)
         logger.error(
             "%s: codec worker process died unexpectedly; failing %d "
             "in-flight job(s)",
             self.name,
-            len(pending),
+            in_flight,
         )
-        for _, job in pending:
-            exc = WorkerCrashedError(
+        self._fail_pending(
+            lambda: WorkerCrashedError(
                 f"{self.name}: worker process died with the job in flight"
             )
-            try:
-                if job.kind == "c":
-                    self._safe_done(job, exc, None, None)
-                else:
-                    self._safe_done(job, exc, None)
-            finally:
-                if job.slab is not None:
-                    job.slab.release()
+        )
 
     # -- introspection -----------------------------------------------------
 
@@ -694,12 +737,8 @@ class CodecProcessPool:
             pending = list(self._pending.values())
             self._pending.clear()
         for job in pending:
-            exc = exc_factory()
             try:
-                if job.kind == "c":
-                    self._safe_done(job, exc, None, None)
-                else:
-                    self._safe_done(job, exc, None)
+                self._fail(job, exc_factory())
             finally:
                 if job.slab is not None:
                     job.slab.release()
@@ -728,18 +767,7 @@ class CodecProcessPool:
                 proc.terminate()
                 proc.join(5.0)
         self._collector.join(timeout)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._jobs.close()
-        self._fail_pending(
-            lambda: WorkerCrashedError(f"{self.name}: pool closed with job in flight")
-        )
-        self._slabs.close()
-        with self._lock:
-            self._closed = True
+        self._release("pool closed with job in flight")
 
     def terminate(self) -> None:
         """Kill-now teardown for abort paths: no drain, jobs are failed.
@@ -756,15 +784,17 @@ class CodecProcessPool:
         for proc in self._procs:
             proc.join(5.0)
         self._collector.join(5.0)
+        self._release("pool terminated with job in flight")
+
+    def _release(self, why: str) -> None:
+        """Shutdown tail: close the pipes, fail what is left, unlink."""
         for conn in self._conns:
             try:
                 conn.close()
             except OSError:  # pragma: no cover
                 pass
         self._jobs.close()
-        self._fail_pending(
-            lambda: WorkerCrashedError(f"{self.name}: pool terminated with job in flight")
-        )
+        self._fail_pending(lambda: WorkerCrashedError(f"{self.name}: {why}"))
         self._slabs.close()
         with self._lock:
             self._closed = True

@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=["thread", "process"],
         default="thread",
-        help="codec executor backend: 'process' shards flows across "
+        help="codec pool backend: 'process' shards flows across "
         "single-worker codec processes (see --shards)",
     )
     serve.add_argument(

@@ -13,12 +13,13 @@ flows, one daemon* counterpart:
   :class:`~repro.core.buffers.BufferPool`; accepting another flow
   never creates another thread.  ``codec_backend="process"`` shards
   flows across single-worker
-  :class:`~repro.core.procpool.CodecProcessPool` executors instead, so
+  :class:`~repro.core.procpool.CodecProcessPool` shards instead, so
   concurrent flows compress on separate cores.
 * :mod:`~repro.serve.flow` — :class:`Flow`, the per-connection state
   machine (handshaking → streaming → draining → closed), each with its
   own :class:`~repro.core.controller.AdaptiveController` instance in
-  echo mode.
+  echo mode.  A flow submits its codec jobs to whichever pool it was
+  given through the one typed contract both pools share.
 * :mod:`~repro.serve.protocol` — the hello/control wire framing around
   the stock block frames of :mod:`repro.codecs.block`.
 * :mod:`~repro.serve.client` — :class:`ServeClient`, which uploads (or
@@ -46,7 +47,7 @@ from .client import (
     ServeError,
     ServeProtocolError,
 )
-from .flow import Flow, FlowState, ProcessCodecExecutor, ThreadCodecExecutor
+from .flow import Flow, FlowState
 from .protocol import (
     MODE_ECHO,
     MODE_SINK,
@@ -72,8 +73,6 @@ __all__ = [
     "ServeProtocolError",
     "Flow",
     "FlowState",
-    "ThreadCodecExecutor",
-    "ProcessCodecExecutor",
     "Hello",
     "ProtocolError",
     "MODE_SINK",

@@ -14,7 +14,7 @@ live daemon without speaking the block protocol:
   peer string cannot corrupt the exposition.
 * ``GET /healthz`` — readiness/liveness JSON; HTTP 200 while the loop
   is live and accepting, 503 once draining/stopped or when a codec
-  executor reports a broken worker.  The body carries the suppressed
+  pool shard reports a broken worker.  The body carries the suppressed
   internal-error tallies (see ``TransferServer._internal_error``).
 * ``GET /flows`` — JSON snapshot of every flow's state machine and its
   controller's last decision.

@@ -7,18 +7,18 @@ handshake to teardown::
     DRAINING --codec jobs drained, trailer flushed--> CLOSED
 
 A flow owns **no threads**.  All of its methods run on the server's
-single event-loop thread, except the codec job bodies, which a codec
-*executor* runs elsewhere: :class:`ThreadCodecExecutor` on the shared
-:class:`~repro.core.pipeline.CodecThreadPool` (the default), or
-:class:`ProcessCodecExecutor` on a
+single event-loop thread, except its codec jobs, which run on the codec
+pool the server assigned it — the shared
+:class:`~repro.core.pipeline.CodecThreadPool` (the default), or a
 :class:`~repro.core.procpool.CodecProcessPool` shard whose worker
-process compresses on another core entirely.  Either way completions
-only touch the result dictionaries under the flow's lock and then call
-the server's ``notify`` callback, so the loop thread remains the only
-place where state advances.  The loop calls :meth:`handle_read` /
-:meth:`handle_write` on selector readiness and :meth:`pump` after any
-readiness or job completion; ``pump`` is idempotent and drives every
-transition.
+process works on another core entirely.  The flow talks to either
+through the same typed calls (``submit_decompress``/``submit_compress``
+with an ``on_done`` callback), and a completion only stores its result
+under the flow's lock and calls the server's ``notify`` callback, so
+the loop thread remains the only place where state advances.  The loop
+calls :meth:`handle_read` / :meth:`handle_write` on selector readiness
+and :meth:`pump` after any readiness or job completion; ``pump`` is
+idempotent and drives every transition.
 
 Ordering mirrors the pipelines in :mod:`repro.core.pipeline`: decode
 and re-encode jobs complete on whatever worker frees up first, and the
@@ -28,7 +28,8 @@ regardless of scheduling.  Backpressure is two-sided and per flow: the
 flow stops reading its socket while ``decode_in_flight`` exceeds the
 block window or the pending write queue exceeds the byte cap, which
 lets TCP push back on a client outrunning the shared codec pool
-without stalling anybody else's flow.
+without stalling anybody else's flow.  A job the pool refuses (closed
+pool, crashed worker) fails only its own flow.
 """
 
 from __future__ import annotations
@@ -38,27 +39,17 @@ import time
 import zlib
 from collections import deque
 from enum import Enum
+from functools import partial
 from typing import Callable, Deque, Dict, Optional, Tuple
 
-from ..codecs.block import (
-    FORMAT_VERSION,
-    HEADER,
-    HEADER_SIZE,
-    MAGIC,
-    EncodedBlock,
-    decode_header,
-    decode_payload,
-    encode_block,
-)
+from ..codecs.block import HEADER_SIZE, MAGIC, decode_header, frame_payload
 from ..codecs.errors import CodecError
 from ..codecs.registry import DEFAULT_REGISTRY
 from ..core.buffers import BufferPool
 from ..core.controller import AdaptiveController
 from ..core.levels import CompressionLevelTable
-from ..core.pipeline import CodecThreadPool
-from ..core.procpool import CodecProcessPool
+from ..core.pipeline import CodecPool
 from ..telemetry.events import BUS, TransferProgress
-from ..telemetry.spans import span
 from .protocol import (
     MODE_ECHO,
     MODE_SINK,
@@ -67,7 +58,7 @@ from .protocol import (
     parse_hello,
 )
 
-__all__ = ["Flow", "FlowState", "ProcessCodecExecutor", "ThreadCodecExecutor"]
+__all__ = ["Flow", "FlowState"]
 
 #: Decoded application bytes between per-flow TransferProgress events.
 PROGRESS_EVERY_BYTES = 8 * 1024 * 1024
@@ -85,174 +76,6 @@ class FlowState(Enum):
     CLOSED = "closed"
 
 
-class ThreadCodecExecutor:
-    """Run flows' codec jobs on a shared :class:`CodecThreadPool`.
-
-    The default executor: jobs are closures over the flow's own
-    ``_decode_job``/``_encode_job`` bodies, exactly the thread-pool
-    contract the serve loop has always used.  ``owns_pool`` marks a
-    pool this executor created (and must close) rather than one the
-    caller shares across servers.
-    """
-
-    backend = "thread"
-
-    def __init__(self, pool: CodecThreadPool, *, owns_pool: bool = False) -> None:
-        self._pool = pool
-        self._owns_pool = owns_pool
-
-    @property
-    def pool(self) -> CodecThreadPool:
-        return self._pool
-
-    @property
-    def workers(self) -> int:
-        return self._pool.workers
-
-    @property
-    def in_flight(self) -> int:
-        return self._pool.in_flight
-
-    def qsize(self) -> int:
-        return self._pool.qsize()
-
-    def stats(self) -> dict:
-        stats = self._pool.stats()
-        stats["backend"] = self.backend
-        return stats
-
-    def submit_decode(self, flow: "Flow", seq: int, header, payload) -> None:
-        self._pool.submit(
-            lambda index, seq=seq, header=header, payload=payload: flow._decode_job(
-                index, seq, header, payload
-            )
-        )
-
-    def submit_encode(self, flow: "Flow", seq: int, data, codec) -> None:
-        self._pool.submit(
-            lambda index, seq=seq, data=data, codec=codec: flow._encode_job(
-                index, seq, data, codec
-            )
-        )
-
-    def close(self) -> None:
-        if self._owns_pool:
-            self._pool.close()
-
-
-class ProcessCodecExecutor:
-    """Run flows' codec jobs on a :class:`CodecProcessPool` shard.
-
-    The serve loop shards flows across several of these — one worker
-    process each — so many concurrent flows compress and decompress on
-    separate cores instead of time-slicing one GIL.  Results arrive
-    on the pool's collector thread and complete into the owning flow
-    exactly like thread-pool jobs (store under the flow lock, poke the
-    loop's waker), so the flow state machine cannot tell the backends
-    apart.
-
-    A submission that the pool refuses (broken worker, closed pool)
-    completes the job with the error instead of raising into the loop
-    thread: the one flow fails with ``decode-error``/``encode-error``
-    while every other flow keeps running.
-    """
-
-    backend = "process"
-
-    def __init__(
-        self,
-        workers: int = 1,
-        *,
-        buffer_pool: BufferPool,
-        name: str = "repro-serve-codec-proc",
-    ) -> None:
-        self._pool = CodecProcessPool(workers, name=name)
-        self._buffer_pool = buffer_pool
-
-    @property
-    def pool(self) -> CodecProcessPool:
-        return self._pool
-
-    @property
-    def workers(self) -> int:
-        return self._pool.workers
-
-    @property
-    def in_flight(self) -> int:
-        return self._pool.in_flight
-
-    def qsize(self) -> int:
-        return self._pool.qsize()
-
-    def stats(self) -> dict:
-        return self._pool.stats()
-
-    def submit_decode(self, flow: "Flow", seq: int, header, payload) -> None:
-        def on_done(exc, data, flow=flow, seq=seq):
-            if exc is not None:
-                flow._complete_decode(seq, exc)
-            else:
-                # The slab view dies with this callback; materialise.
-                flow._complete_decode(
-                    seq, data if isinstance(data, bytes) else bytes(data)
-                )
-
-        try:
-            # check_crc=True: the flow parses raw frames itself, so
-            # unlike the BlockReader path nothing upstream has CRC'd
-            # this payload yet.
-            self._pool.submit_decompress(
-                header, payload.view, check_crc=True, on_done=on_done
-            )
-        except BaseException as exc:  # noqa: BLE001 - complete, don't raise
-            flow._complete_decode(seq, exc)
-        finally:
-            # submit_decompress stages the payload into shared memory
-            # synchronously, so the pool buffer can go back right away.
-            payload.release()
-
-    def submit_encode(self, flow: "Flow", seq: int, data, codec) -> None:
-        def on_done(exc, header, payload, flow=flow, seq=seq):
-            if exc is not None:
-                flow._complete_encode(seq, exc)
-            else:
-                flow._complete_encode(seq, self._assemble(header, payload))
-
-        try:
-            self._pool.submit_compress(data, codec, on_done=on_done)
-        except BaseException as exc:  # noqa: BLE001 - complete, don't raise
-            flow._complete_encode(seq, exc)
-
-    def _assemble(self, header, payload) -> EncodedBlock:
-        """Frame a worker result into a pool-backed outgoing block.
-
-        Runs on the collector thread while the slab view is still
-        valid; the payload is copied exactly once, into the frame.
-        """
-        plen = header.compressed_len
-        buf = self._buffer_pool.acquire(HEADER_SIZE + plen)
-        frame = buf.view
-        HEADER.pack_into(
-            frame,
-            0,
-            MAGIC,
-            FORMAT_VERSION,
-            header.codec_id,
-            header.flags,
-            header.uncompressed_len,
-            plen,
-            header.crc32,
-        )
-        frame[HEADER_SIZE:] = payload
-        return EncodedBlock(frame=frame, header=header, buf=buf)
-
-    def close(self) -> None:
-        self._pool.close()
-
-    def terminate(self) -> None:
-        self._pool.terminate()
-
-
 class Flow:
     """State machine for one accepted connection (loop thread only)."""
 
@@ -263,7 +86,7 @@ class Flow:
         peer: str,
         *,
         levels: CompressionLevelTable,
-        codec_pool: CodecThreadPool,
+        codec_pool: CodecPool,
         buffer_pool: BufferPool,
         notify: Callable[["Flow"], None],
         default_level: Optional[int] = None,
@@ -282,13 +105,7 @@ class Flow:
         self.mode = ""
         self._levels = levels
         self._registry = DEFAULT_REGISTRY
-        # ``codec_pool`` may be a bare CodecThreadPool (the historical
-        # contract, kept for callers and tests) or an executor that
-        # already speaks submit_decode/submit_encode.
-        if hasattr(codec_pool, "submit_decode"):
-            self._executor = codec_pool
-        else:
-            self._executor = ThreadCodecExecutor(codec_pool)
+        self._codec_pool = codec_pool
         self._buffer_pool = buffer_pool
         self._notify = notify
         self._default_level = default_level
@@ -639,51 +456,39 @@ class Flow:
             del self._rx[:need]
             seq = self._decode_submitted
             self._decode_submitted += 1
-            self._executor.submit_decode(self, seq, header, payload)
+            try:
+                # check_crc: nothing upstream of the flow has CRC'd
+                # this payload; the pool releases it once consumed.
+                self._codec_pool.submit_decompress(
+                    header,
+                    payload,
+                    check_crc=True,
+                    registry=self._registry,
+                    span="serve.decode",
+                    on_done=partial(self._decoded, seq),
+                )
+            except BaseException as exc:  # noqa: BLE001 - fails this flow only
+                self._complete(self._decode_results, seq, exc)
 
-    # -- codec job bodies (pool worker threads) ----------------------
+    # -- job completion (any pool thread) ----------------------------
 
-    def _decode_job(self, index: int, seq: int, header, payload) -> None:
-        try:
-            if BUS.active:
-                codec = self._registry.get(header.codec_id).name
-                with span("serve.decode", worker=index, codec=codec):
-                    data = decode_payload(header, payload.view, self._registry)
-            else:
-                data = decode_payload(header, payload.view, self._registry)
-        except BaseException as exc:  # noqa: BLE001 - latched into the flow
-            result: object = exc
+    def _decoded(self, seq: int, exc, data) -> None:
+        # A pool view dies with this callback; bytes pass through.
+        if exc is None and not isinstance(data, bytes):
+            data = bytes(data)
+        self._complete(self._decode_results, seq, exc if exc is not None else data)
+
+    def _encoded(self, seq: int, exc, header, payload) -> None:
+        if exc is None:
+            result = frame_payload(header, payload, pool=self._buffer_pool)
         else:
-            result = data
-        finally:
-            payload.release()
-        self._complete_decode(seq, result)
+            result = exc
+        self._complete(self._encode_results, seq, result)
 
-    def _encode_job(self, index: int, seq: int, data: bytes, codec) -> None:
-        try:
-            if BUS.active:
-                with span("serve.encode", worker=index, codec=codec.name):
-                    block = encode_block(data, codec, pool=self._buffer_pool)
-            else:
-                block = encode_block(data, codec, pool=self._buffer_pool)
-        except BaseException as exc:  # noqa: BLE001 - latched into the flow
-            result: object = exc
-        else:
-            result = block
-        self._complete_encode(seq, result)
-
-    # -- job completion (any worker/collector thread) ----------------
-
-    def _complete_decode(self, seq: int, result: object) -> None:
-        """Record one decode outcome (bytes or exception) and wake the loop."""
+    def _complete(self, results: Dict[int, object], seq: int, result: object) -> None:
+        """Record one job outcome (result or exception) and wake the loop."""
         with self._lock:
-            self._decode_results[seq] = result
-        self._notify(self)
-
-    def _complete_encode(self, seq: int, result: object) -> None:
-        """Record one encode outcome (block or exception) and wake the loop."""
-        with self._lock:
-            self._encode_results[seq] = result
+            results[seq] = result
         self._notify(self)
 
     # -- state advancement (loop thread) -----------------------------
@@ -782,7 +587,15 @@ class Flow:
         codec = self._levels.codec(level)
         seq = self._encode_submitted
         self._encode_submitted += 1
-        self._executor.submit_encode(self, seq, data, codec)
+        try:
+            self._codec_pool.submit_compress(
+                data,
+                codec,
+                span="serve.encode",
+                on_done=partial(self._encoded, seq),
+            )
+        except BaseException as exc:  # noqa: BLE001 - fails this flow only
+            self._complete(self._encode_results, seq, exc)
 
     def _drain_encodes(self) -> None:
         while True:

@@ -12,12 +12,13 @@ shared bottleneck" scenario without thread-per-transfer explosion.
 
 ``codec_backend="process"`` swaps the shared thread pool for per-core
 stream sharding: ``codec_shards`` single-worker
-:class:`~repro.core.procpool.CodecProcessPool` executors
-(:class:`~repro.serve.flow.ProcessCodecExecutor`), with flows assigned
-``flow_id % shards``.  Codec bytes then cross to the worker processes
-via shared-memory slabs and the GIL stops serialising concurrent
-flows' compression.  Where shared memory is unavailable the daemon
-degrades to the thread pool with a one-time warning.
+:class:`~repro.core.procpool.CodecProcessPool` shards, with flows
+assigned ``flow_id % shards``.  Codec bytes then cross to the worker
+processes via shared-memory slabs and the GIL stops serialising
+concurrent flows' compression.  Both pools take the same typed codec
+calls, so a flow never knows which kind it was given.  Where shared
+memory is unavailable the daemon degrades to the thread pool with a
+one-time warning.
 
 Responsibilities split cleanly:
 
@@ -56,8 +57,13 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..control import Assignment, FleetController, make_policy
 from ..core.buffers import BufferPool
 from ..core.levels import CompressionLevelTable, default_level_table
-from ..core.pipeline import CodecThreadPool
-from ..core.procpool import ProcessBackendUnavailable, _warn_fallback, resolve_backend
+from ..core.pipeline import CodecPool, CodecThreadPool
+from ..core.procpool import (
+    CodecProcessPool,
+    ProcessBackendUnavailable,
+    _warn_fallback,
+    resolve_backend,
+)
 from ..io.sockets import DEFAULT_BACKLOG, open_listener
 from ..telemetry.events import (
     BUS,
@@ -70,7 +76,7 @@ from ..telemetry.events import (
     PipelineQueueDepth,
     ServeInternalError,
 )
-from .flow import Flow, FlowState, ProcessCodecExecutor, ThreadCodecExecutor
+from .flow import Flow, FlowState
 from .protocol import encode_control
 
 __all__ = ["RELOADABLE_KEYS", "ServeConfig", "TransferServer"]
@@ -175,44 +181,38 @@ class TransferServer:
         workers = self.config.codec_workers or _default_workers()
         self._buffer_pool = buffer_pool or BufferPool()
 
-        # Codec substrate: one shared thread pool (default), or — with
+        # Codec pools: one shared thread pool (default), or — with
         # ``codec_backend="process"`` — N single-worker process-pool
         # shards that flows are assigned to round-robin, so concurrent
         # flows' codec work runs on genuinely separate cores.  An
-        # explicitly injected ``codec_pool`` always means threads.
+        # explicitly injected ``codec_pool`` always means threads, and
+        # is the caller's to close.
         backend = self.config.codec_backend
         if codec_pool is not None:
             backend = "thread"
         else:
             backend = resolve_backend(backend, source=self.TELEMETRY_SOURCE)
-        self._codec_pool: Optional[CodecThreadPool] = None
-        self._executors: List = []
+        self._owns_pools = codec_pool is None
+        self._codec_pools: List[CodecPool] = []
         if backend == "process":
             shards = self.config.codec_shards or workers
             try:
                 for i in range(shards):
-                    self._executors.append(
-                        ProcessCodecExecutor(
-                            1,
-                            buffer_pool=self._buffer_pool,
-                            name=f"repro-serve-codec-p{i}",
-                        )
+                    self._codec_pools.append(
+                        CodecProcessPool(1, name=f"repro-serve-codec-p{i}")
                     )
             except ProcessBackendUnavailable as exc:
                 # The availability probe passed but real construction
                 # did not (resource limits, races); degrade like any
                 # other unavailability instead of failing the daemon.
-                for executor in self._executors:
-                    executor.terminate()
-                self._executors = []
+                for pool in self._codec_pools:
+                    pool.terminate()
+                self._codec_pools = []
                 _warn_fallback(self.TELEMETRY_SOURCE, str(exc))
                 backend = "thread"
         if backend == "thread":
-            self._codec_pool = codec_pool or CodecThreadPool(
-                workers, name="repro-serve-codec"
-            )
-            self._executors = [
-                ThreadCodecExecutor(self._codec_pool, owns_pool=codec_pool is None)
+            self._codec_pools = [
+                codec_pool or CodecThreadPool(workers, name="repro-serve-codec")
             ]
         self.codec_backend = backend
         default_level = (
@@ -289,21 +289,24 @@ class TransferServer:
     @property
     def codec_pool(self) -> Optional[CodecThreadPool]:
         """The shared thread pool (None under the process backend)."""
-        return self._codec_pool
+        return self._codec_pools[0] if self.codec_backend == "thread" else None
 
     @property
     def codec_workers(self) -> int:
-        """Total codec workers across every executor shard."""
-        return sum(executor.workers for executor in self._executors)
+        """Total codec workers across every codec pool shard."""
+        return sum(pool.workers for pool in self._codec_pools)
 
     @property
     def codec_shards(self) -> int:
-        """Number of codec executor shards flows are spread across."""
-        return len(self._executors)
+        """Number of codec pool shards flows are spread across."""
+        return len(self._codec_pools)
 
     def codec_stats(self) -> dict:
-        """Merged codec-substrate snapshot across every shard."""
-        per_shard = [executor.stats() for executor in self._executors]
+        """Merged codec-pool snapshot across every shard.
+
+        ``executors`` lists each shard's own ``stats()``.
+        """
+        per_shard = [pool.stats() for pool in self._codec_pools]
         return {
             "backend": self.codec_backend,
             "shards": len(per_shard),
@@ -452,7 +455,7 @@ class TransferServer:
                 conn,
                 peer=f"{addr[0]}:{addr[1]}" if isinstance(addr, tuple) else str(addr),
                 levels=self._levels,
-                codec_pool=self._executors[flow_id % len(self._executors)],
+                codec_pool=self._codec_pools[flow_id % len(self._codec_pools)],
                 buffer_pool=self._buffer_pool,
                 notify=self._notify,
                 default_level=self._default_level,
@@ -475,7 +478,7 @@ class TransferServer:
         if len(self._flows) >= self.config.max_flows:
             return "max-flows"
         limit = self.config.max_queued_jobs
-        if limit and sum(e.qsize() for e in self._executors) >= limit:
+        if limit and sum(pool.qsize() for pool in self._codec_pools) >= limit:
             return "codec-queue-full"
         return None
 
@@ -890,8 +893,8 @@ class TransferServer:
             PipelineQueueDepth(
                 ts=ts,
                 source=f"{self.TELEMETRY_SOURCE}-codec",
-                depth=sum(e.qsize() for e in self._executors),
-                in_flight=sum(e.in_flight for e in self._executors),
+                depth=sum(pool.qsize() for pool in self._codec_pools),
+                in_flight=sum(pool.in_flight for pool in self._codec_pools),
                 workers=self.codec_workers,
             )
         )
@@ -968,8 +971,8 @@ class TransferServer:
     def healthz(self) -> Tuple[bool, Dict[str, object]]:
         """``(ready, detail)`` for the admin ``/healthz`` endpoint.
 
-        Ready means: the loop is live, not draining, and no codec
-        executor reports a broken worker.  The detail dict carries the
+        Ready means: the loop is live, not draining, and no codec pool
+        shard reports a broken worker.  The detail dict carries the
         individual verdicts plus the suppressed-error tallies so a
         probe failure is diagnosable from the probe body alone.
         """
@@ -1010,8 +1013,9 @@ class TransferServer:
         self._waker_w.close()
         if BUS.active:
             self._publish_pool_stats(BUS.now())
-        for executor in self._executors:
-            executor.close()
+        if self._owns_pools:
+            for pool in self._codec_pools:
+                pool.close()
 
     # -- context manager ---------------------------------------------
 

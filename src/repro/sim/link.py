@@ -160,11 +160,11 @@ class SharedLink:
         self.name = name
         self.capacity = capacity
         self._capacity_factor = 1.0
-        #: Open flows by id(flow): O(1) close even with thousands open.
+        #: Open flows by id(flow), in open order: O(1) close even with
+        #: thousands open.  Progress, completion and weight sums walk
+        #: the transmitting ones in this order, as the seed allocator
+        #: did, so float sums match it bit for bit.
         self._flows: Dict[int, Flow] = {}
-        #: Actively transmitting flows by id(flow); progress accounting
-        #: and repricing walk only these, never the full open set.
-        self._active: Dict[int, Flow] = {}
         self._last_update = env.now
         #: True when the active set / a demand / the capacity changed
         #: since the last re-price; clean recomputes return immediately.
@@ -233,7 +233,6 @@ class SharedLink:
         flow.remaining = float(nbytes)
         flow.completion = event
         flow._active = True
-        self._active[id(flow)] = flow
         self._dirty = True
         self._recompute()
         return event
@@ -276,7 +275,7 @@ class SharedLink:
     # -- internals ----------------------------------------------------
 
     def _active_flows(self) -> List[Flow]:
-        return list(self._active.values())
+        return [f for f in self._flows.values() if f._active]
 
     def _advance(self) -> None:
         """Account progress since the last state change."""
@@ -285,7 +284,9 @@ class SharedLink:
         self._last_update = now
         if dt <= 0:
             return
-        for flow in self._active.values():
+        for flow in self._flows.values():
+            if not flow._active:
+                continue
             moved = min(flow.remaining, flow.rate * dt)
             flow.remaining -= moved
             flow.bytes_done += moved
@@ -322,36 +323,37 @@ class SharedLink:
         if not self._dirty:
             return
         self._dirty = False
-        active = self._active
+        active = self._active_flows()
         # Complete anything that has (numerically) finished, crediting
         # the sub-epsilon residue so byte accounting stays exact.
-        finished = [f for f in active.values() if f.remaining <= _COMPLETION_EPS]
+        finished = [f for f in active if f.remaining <= _COMPLETION_EPS]
         for flow in finished:
             flow.bytes_done += flow.remaining
             self.total_bytes += flow.remaining
             flow.remaining = 0.0
             flow._active = False
             flow.rate = 0.0
-            del active[id(flow)]
             event, flow.completion = flow.completion, None
             assert event is not None
             event.succeed()
+        if finished:
+            active = [f for f in active if f._active]
 
-        weight = sum(map(_get_weight, active.values()))
-        demanders = [f for f in active.values() if f.demand is not None]
+        weight = sum(map(_get_weight, active))
+        demanders = [f for f in active if f.demand is not None]
         demanders.sort(key=_norm_demand)
         k, cap, rweight = _fill_level(demanders, weight, self.effective_capacity)
 
         next_done = math.inf
         if rweight > 0.0:
-            for f in active.values():
+            for f in active:
                 f.rate = cap * f.weight / rweight
         else:
-            for f in active.values():
+            for f in active:
                 f.rate = 0.0
         for f in demanders[:k]:
             f.rate = f.demand
-        for f in active.values():
+        for f in active:
             if f.rate > 0.0:
                 t = f.remaining / f.rate
                 if t < next_done:

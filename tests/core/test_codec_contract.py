@@ -1,0 +1,241 @@
+"""One codec-execution contract, checked against both codec pools.
+
+:class:`~repro.core.pipeline.CodecThreadPool` and
+:class:`~repro.core.procpool.CodecProcessPool` take the same typed
+calls (``submit_compress``/``submit_decompress`` with an ``on_done``
+callback) under the same rules, which is what lets the pipelines and
+the serve daemon hold either one.  Every case here runs on both.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import threading
+
+import pytest
+
+from repro.codecs.block import (
+    BlockWriter,
+    _compress_payload,
+    decode_payload,
+    encode_block,
+    frame_payload,
+)
+from repro.codecs.errors import CodecError, CorruptBlockError, UnknownCodecError
+from repro.codecs.null_codec import NullCodec
+from repro.codecs.registry import CodecRegistry
+from repro.core.buffers import BufferPool
+from repro.core.levels import default_level_table
+from repro.core.pipeline import CodecThreadPool, make_block_decoder
+from repro.core.procpool import CodecProcessPool, process_backend_available
+from repro.data import Compressibility, SyntheticCorpus
+
+LEVELS = default_level_table()
+
+BACKENDS = [
+    "thread",
+    pytest.param(
+        "process",
+        marks=pytest.mark.skipif(
+            not process_backend_available(),
+            reason="process backend unavailable on this platform",
+        ),
+    ),
+]
+
+
+def _new_pool(backend: str, workers: int = 2):
+    if backend == "process":
+        return CodecProcessPool(workers, name="contract-proc")
+    return CodecThreadPool(workers, name="contract-thread")
+
+
+@pytest.fixture(scope="module")
+def pools():
+    """One lazily started pool per backend, shared by the module."""
+    started: dict = {}
+
+    def get(backend: str):
+        if backend not in started:
+            started[backend] = _new_pool(backend)
+        return started[backend]
+
+    yield get
+    for pool in started.values():
+        pool.close()
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request):
+    return request.param
+
+
+@pytest.fixture()
+def pool(pools, backend):
+    return pools(backend)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return SyntheticCorpus(file_size=64 * 1024, seed=41)
+
+
+class _Outcome:
+    """Collects one job's ``on_done`` arguments (copied: views die)."""
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.calls = 0
+        self.args: tuple = ()
+
+    def compress(self, exc, header, payload) -> None:
+        self.calls += 1
+        frame = None if exc else bytes(frame_payload(header, payload).frame)
+        self.args = (exc, header, frame)
+        self.done.set()
+
+    def decompress(self, exc, data) -> None:
+        self.calls += 1
+        self.args = (exc, None if data is None else bytes(data))
+        self.done.set()
+
+    def wait(self) -> tuple:
+        assert self.done.wait(30.0), "on_done never ran"
+        return self.args
+
+
+def _compressed(corpus, level: int, copies: int = 1):
+    """(plaintext, header, payload bytes) of one HIGH-class block."""
+    data = corpus.payload(Compressibility.HIGH) * copies
+    header, payload = _compress_payload(data, LEVELS.codec(level), True)
+    return data, header, bytes(payload)
+
+
+class TestResults:
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_compress_frames_like_encode_block(self, pool, corpus, level):
+        data = corpus.payload(Compressibility.MODERATE)
+        expected = encode_block(data, LEVELS.codec(level))
+        out = _Outcome()
+        pool.submit_compress(data, LEVELS.codec(level), on_done=out.compress)
+        exc, header, frame = out.wait()
+        assert exc is None
+        assert header == expected.header
+        assert frame == bytes(expected.frame)
+
+    def test_stored_fallback_frames_like_encode_block(self, pool):
+        data = os.urandom(16384)
+        expected = encode_block(data, LEVELS.codec(1))
+        assert expected.header.stored_fallback  # the case is live
+        out = _Outcome()
+        pool.submit_compress(data, LEVELS.codec(1), on_done=out.compress)
+        exc, header, frame = out.wait()
+        assert exc is None
+        assert (header, frame) == (expected.header, bytes(expected.frame))
+
+    @pytest.mark.parametrize("level", [0, 2, 3])
+    def test_decompress_matches_decode_payload(self, pool, corpus, level):
+        data, header, payload = _compressed(corpus, level)
+        assert decode_payload(header, payload) == data
+        out = _Outcome()
+        pool.submit_decompress(header, payload, check_crc=True, on_done=out.decompress)
+        assert out.wait() == (None, data)
+
+    def test_pooled_payload_is_released(self, pool, corpus):
+        data, header, payload = _compressed(corpus, 2)
+        buffers = BufferPool()
+        pooled = buffers.acquire(len(payload))
+        pooled.view[:] = payload
+        out = _Outcome()
+        pool.submit_decompress(header, pooled, on_done=out.decompress)
+        assert out.wait() == (None, data)
+        assert pooled.view is None
+        assert buffers.free_slabs == 1
+
+
+class TestErrors:
+    def test_crc_error_arrives_through_on_done(self, pool, corpus):
+        _, header, payload = _compressed(corpus, 2)
+        damaged = bytearray(payload)
+        damaged[len(damaged) // 2] ^= 0xFF
+        out = _Outcome()
+        pool.submit_decompress(
+            header, bytes(damaged), check_crc=True, on_done=out.decompress
+        )
+        exc, data = out.wait()
+        assert isinstance(exc, CorruptBlockError)
+        assert data is None
+        assert pool.stats()["job_failures"] >= 1
+
+    def test_codec_error_arrives_through_on_done(self, pool, corpus):
+        _, header, payload = _compressed(corpus, 3)
+        out = _Outcome()
+        pool.submit_decompress(header, payload[:-8], on_done=out.decompress)
+        exc, _ = out.wait()
+        assert isinstance(exc, CodecError)
+
+    def test_submit_after_close_raises_and_releases(self, backend, corpus):
+        _, header, payload = _compressed(corpus, 2)
+        pool = _new_pool(backend, workers=1)
+        pool.close()
+        buffers = BufferPool()
+        pooled = buffers.acquire(len(payload))
+        out = _Outcome()
+        with pytest.raises((ValueError, RuntimeError)):
+            pool.submit_decompress(header, pooled, on_done=out.decompress)
+        assert pooled.view is None
+        assert buffers.free_slabs == 1
+        with pytest.raises((ValueError, RuntimeError)):
+            pool.submit_compress(b"x", LEVELS.codec(1), on_done=out.compress)
+        assert out.calls == 0
+
+    def test_terminate_releases_every_dropped_payload(self, backend, corpus):
+        data, header, payload = _compressed(corpus, 3, copies=4)
+        pool = _new_pool(backend, workers=1)
+        buffers = BufferPool()
+        jobs = []
+        for _ in range(12):
+            pooled = buffers.acquire(len(payload))
+            pooled.view[:] = payload
+            out = _Outcome()
+            pool.submit_decompress(header, pooled, on_done=out.decompress)
+            jobs.append((pooled, out))
+        pool.terminate()
+        outcomes = [out.wait() for _, out in jobs]
+        assert all(out.calls == 1 for _, out in jobs)
+        assert all(pooled.view is None for pooled, _ in jobs)
+        assert any(exc is not None for exc, _ in outcomes)  # some were dropped
+        assert all(got == data for exc, got in outcomes if exc is None)
+
+
+class TestShape:
+    def test_backend_and_stats_keys_match(self, pools):
+        if not process_backend_available():
+            pytest.skip("process backend unavailable on this platform")
+        thread, process = pools("thread"), pools("process")
+        assert (thread.backend, process.backend) == ("thread", "process")
+        assert set(thread.stats()) == set(process.stats())
+        assert thread.stats()["backend"] == "thread"
+        assert process.stats()["backend"] == "process"
+
+
+def test_decoder_keeps_its_registry_on_a_shared_pool(pool):
+    """A registry that cannot resolve the stream's codec must fail the
+    read on every pool: a process pool must refuse it rather than
+    decode with its workers' default registry."""
+    sink = io.BytesIO()
+    writer = BlockWriter(sink)
+    for i in range(3):
+        writer.write_block(bytes([i]) * 4096, LEVELS.codec(1))
+    registry = CodecRegistry()
+    registry.register(NullCodec())
+    decoder = make_block_decoder(
+        io.BytesIO(sink.getvalue()), registry, workers=2, codec_pool=pool
+    )
+    try:
+        with pytest.raises((UnknownCodecError, ValueError)):
+            decoder.read_block()
+        assert decoder.blocks_read == 0
+    finally:
+        decoder.close()

@@ -27,6 +27,7 @@ from repro.serve import (
     ServeConfig,
     TransferServer,
     encode_hello,
+    parse_control,
 )
 from repro.telemetry import instrumented
 
@@ -90,6 +91,13 @@ def _open_raw_flow(server) -> socket.socket:
     host, port = server.address
     sock = socket.create_connection((host, port), timeout=10.0)
     sock.sendall(encode_hello(MODE_ECHO, {}))
+    # The daemon acks only once the flow is STREAMING with its mode set.
+    buf = bytearray()
+    while (ack := parse_control(buf)) is None:
+        chunk = sock.recv(4096)
+        assert chunk, "daemon closed the connection before the hello ack"
+        buf += chunk
+    assert ack[0]["ok"], ack[0]
     return sock
 
 
@@ -195,9 +203,11 @@ class TestHealthz:
             assert detail["active_flows"] == 1
         finally:
             sock.close()
-        assert _settle(lambda: _request(admin, "/healthz")[0] == 503)
-        detail = json.loads(_request(admin, "/healthz")[1])
-        assert not detail["live"]  # loop exited after the drain emptied
+        # Draining already reads 503; wait for the loop itself to exit.
+        assert _settle(lambda: not json.loads(_request(admin, "/healthz")[1])["live"])
+        status, body = _request(admin, "/healthz")
+        assert status == 503
+        assert not json.loads(body)["live"]  # loop exited after the drain emptied
 
     def test_healthz_carries_internal_error_tally(self, server, admin):
         server._internal_error("test-site", OSError("boom"))

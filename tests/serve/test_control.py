@@ -128,7 +128,7 @@ class TestServerControlPass:
                 a,
                 peer="test",
                 levels=default_level_table(),
-                codec_pool=srv._executors[0],
+                codec_pool=srv.codec_pool,
                 buffer_pool=srv.buffer_pool,
                 notify=lambda f: None,
                 clock=lambda: now[0],
@@ -171,7 +171,7 @@ class TestServerControlPass:
                 a,
                 peer="test",
                 levels=default_level_table(),
-                codec_pool=srv._executors[0],
+                codec_pool=srv.codec_pool,
                 buffer_pool=srv.buffer_pool,
                 notify=lambda f: None,
             )

@@ -473,7 +473,7 @@ class TestProcessBackend:
                 port=0, codec_workers=2, codec_backend="process", codec_shards=2
             )
         ).start()
-        names = [ex.pool._slabs.name for ex in srv._executors]
+        names = [pool._slabs.name for pool in srv._codec_pools]
         _client(srv).upload(payload)
         srv.stop(drain=True, timeout=15.0)
         if os.path.isdir("/dev/shm"):

@@ -74,7 +74,7 @@ class TestBasicProperties:
 
 class TestTable2Shapes:
     """Scaled-down (2 GB) sanity versions of the Table II claims; the
-    full-scale reproduction lives in benchmarks/bench_table2.py."""
+    full-scale reproduction lives in benchmarks/bench_experiments.py."""
 
     def test_light_wins_on_high(self):
         times = {
