@@ -37,6 +37,8 @@ import sys
 import time
 from typing import Dict, List, Optional
 
+from bench_pipeline import core_info
+
 from repro.data.corpus import Compressibility
 from repro.sim import (
     Environment,
@@ -340,6 +342,7 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
             "quick": args.quick,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            **core_info(),
         },
         "engine": bench_engine(n_events),
         "allocator": bench_allocator(repeats),

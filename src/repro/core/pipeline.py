@@ -110,9 +110,11 @@ from ..telemetry.events import BUS, BufferPoolStats, PipelineQueueDepth
 from .buffers import BufferPool
 from .procpool import (
     CodecProcessPool,
+    _is_identity,
     _payload_bytes,
     _release_payload,
     _run_callback,
+    _run_on_caller,
     _warn_fallback,
     resolve_backend,
 )
@@ -145,10 +147,13 @@ class CodecThreadPool:
     :class:`~repro.core.procpool.CodecProcessPool` (see
     :mod:`repro.core.procpool`) — the pool runs each on whichever worker
     frees up first and hands the outcome to the job's ``on_done`` on
-    that worker.  In-order reassembly, error latching and windowing stay
-    with the owner, where the ordering requirements live.  The thread
-    pool never copies a payload: ``on_done`` receives the codec's own
-    output (or, for a stored fallback, the submitted ``data``).
+    that worker.  An identity job (the stock ``NullCodec``, or a
+    codec-id-0 frame) is the exception: it runs on the submitting
+    thread, which is cheaper than any queue hop, and is counted in
+    ``caller_runs``.  In-order reassembly, error latching and windowing
+    stay with the owner, where the ordering requirements live.  The
+    thread pool never copies a payload: ``on_done`` receives the codec's
+    own output (or, for a stored fallback, the submitted ``data``).
 
     Both typed calls ride on :meth:`submit`, which queues a plain
     ``fn(worker_index)`` callable.  Such a job must not raise; one that
@@ -179,6 +184,7 @@ class CodecThreadPool:
         self.jobs_submitted = 0
         self.jobs_completed = 0
         self.job_failures = 0
+        self.caller_runs = 0
         self.callback_failures = 0
         self.last_internal_error: Optional[BaseException] = None
         self._threads = [
@@ -214,10 +220,14 @@ class CodecThreadPool:
     def submit(self, fn: Callable[[int], None]) -> None:
         """Queue ``fn(worker_index)`` for execution on some worker."""
         with self._lock:
-            if self._closed:
-                raise ValueError(f"{self.name}: pool is closed")
-            self.jobs_submitted += 1
+            self._admit()
             self._jobs.put(fn)
+
+    def _admit(self) -> None:
+        """Refuse a job on a closed pool, else count it (caller holds ``_lock``)."""
+        if self._closed:
+            raise ValueError(f"{self.name}: pool is closed")
+        self.jobs_submitted += 1
 
     def submit_compress(
         self,
@@ -232,11 +242,22 @@ class CodecThreadPool:
     ) -> None:
         """Compress ``data`` with ``codec`` on a worker thread.
 
-        ``on_done(exc, header, payload)`` runs on that worker: either
-        ``exc`` is set, or ``header`` is the frame header and
-        ``payload`` the (possibly stored-fallback) payload.  ``span``
-        names the telemetry span around the codec call.
+        ``on_done(exc, header, payload)`` runs on that worker (on the
+        caller for an identity codec): either ``exc`` is set, or
+        ``header`` is the frame header and ``payload`` the (possibly
+        stored-fallback) payload.  ``span`` names the telemetry span
+        around the codec call.
         """
+        if _is_identity(codec):
+            _run_on_caller(
+                self,
+                "c",
+                lambda: _compress_payload(data, codec, allow_stored_fallback),
+                lambda: codec.name,
+                on_done=on_done,
+                span=span,
+            )
+            return
 
         def job(index: int) -> None:
             exc = header = payload = None
@@ -270,12 +291,24 @@ class CodecThreadPool:
     ) -> None:
         """Decompress one frame payload on a worker thread.
 
-        ``on_done(exc, data)`` runs on that worker.  A pooled
-        ``payload`` is released once decoded (or refused, or dropped).
-        ``check_crc`` defaults to False because the block fetchers
-        verify the CRC before handing the payload over.
+        ``on_done(exc, data)`` runs on that worker (on the caller for a
+        codec-id-0 frame).  A pooled ``payload`` is released once
+        decoded (or refused, or dropped).  ``check_crc`` defaults to
+        False because the block fetchers verify the CRC before handing
+        the payload over.
         """
         view = _payload_bytes(payload)
+        if header.codec_id == 0:
+            _run_on_caller(
+                self,
+                "d",
+                lambda: (decode_payload(header, view, registry, check_crc=check_crc),),
+                lambda: registry.get(0).name,
+                on_done=on_done,
+                span=span,
+                payload=payload,
+            )
+            return
 
         def job(index: int) -> None:
             exc = data = None
@@ -356,6 +389,7 @@ class CodecThreadPool:
                 "job_failures": self.job_failures,
                 "queued": self._jobs.qsize(),
                 "inline_jobs": 0,
+                "caller_runs": self.caller_runs,
                 "callback_failures": self.callback_failures,
                 "backend": self.backend,
                 "broken": False,

@@ -47,7 +47,8 @@ boundary, so codec work is submitted as typed calls —
 calls.  The rules both pools keep:
 
 * ``on_done(exc, header, payload)`` / ``on_done(exc, data)`` runs on a
-  pool thread once per accepted job: the codec's error, or its result.
+  pool thread (an identity job's on the caller, see below) once per
+  accepted job: the codec's error, or its result.
   A result buffer is valid only during the call unless it is ``bytes``
   or (stored fallback) the submitted ``data`` itself; copy out anything
   else that must outlive it.
@@ -60,7 +61,19 @@ calls.  The rules both pools keep:
   queued; ``backend`` names the pool and ``stats()`` has one key set.
 * ``span`` names the telemetry span the job runs under, tagged with the
   worker index and codec; worker processes have no event bus, so only
-  the thread pool opens it.
+  the thread pool's workers open it.
+* **Identity jobs run on the caller.**  A job whose codec is the
+  identity — ``submit_decompress`` of a codec-id-0 frame, or
+  ``submit_compress`` with a codec whose exact type is
+  :class:`~repro.codecs.null_codec.NullCodec` — does its CRC, copy and
+  framing work on the submitting thread, and ``on_done`` runs there
+  before the submit returns.  Its only work is that CRC and one copy,
+  so a trip through a queue would cost far more than the job itself.
+  It is refused exactly like a queued job, before any work runs, opens
+  the caller-named span (tagged ``worker="caller"``) on either pool,
+  and counts in ``jobs_submitted``/``jobs_completed`` and in
+  ``caller_runs``.  Subclasses and other id-0 codecs still run on
+  workers: only the stock identity is known to be cheap.
 
 That is what lets :class:`~repro.core.pipeline.ParallelBlockEncoder`,
 :class:`~repro.core.pipeline.ParallelBlockDecoder` and the serve
@@ -80,7 +93,9 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..codecs.block import BlockData, BlockHeader, _compress_payload, _nbytes, decode_payload
 from ..codecs.errors import CodecError
+from ..codecs.null_codec import NullCodec
 from ..codecs.registry import DEFAULT_REGISTRY, CodecRegistry
+from ..telemetry import spans
 from ..telemetry.events import BUS, CodecBackendFallback
 from .buffers import DEFAULT_SLAB_SIZE, PooledBuffer, SharedSlabPool
 
@@ -326,6 +341,54 @@ def _run_callback(pool, on_done: Callable, *args) -> None:
         logger.exception("%s: on_done callback failed", pool.name)
 
 
+def _is_identity(codec) -> bool:
+    """Does a compress job with ``codec`` run on the caller?  (Exact type.)"""
+    return type(codec) is NullCodec
+
+
+def _run_on_caller(
+    pool,
+    kind: str,
+    work: Callable[[], tuple],
+    codec_name: Callable[[], str],
+    *,
+    on_done: Callable,
+    span: Optional[str],
+    payload=None,
+) -> None:
+    """Run one identity job on the submitting thread (module docstring).
+
+    ``pool._admit()`` refuses it as it would a queued job, before any
+    work runs; a pooled ``payload`` is released either way.  ``kind`` is
+    ``"c"`` or ``"d"``; ``work()`` returns the outcome ``on_done``
+    receives after ``exc``, and ``codec_name()`` tags the span.
+    """
+    try:
+        with pool._lock:
+            pool._admit()
+            pool.caller_runs += 1
+    except BaseException:
+        _release_payload(payload)
+        raise
+    exc = None
+    outcome: tuple = (None, None) if kind == "c" else (None,)
+    try:
+        if span is not None and BUS.active:
+            with spans.span(span, worker="caller", codec=codec_name()):
+                outcome = work()
+        else:
+            outcome = work()
+    except BaseException as err:  # noqa: BLE001 - delivered to on_done
+        exc = err
+    finally:
+        _release_payload(payload)
+    with pool._lock:
+        pool.jobs_completed += 1
+        if exc is not None:
+            pool.job_failures += 1
+    _run_callback(pool, on_done, exc, *outcome)
+
+
 # --------------------------------------------------------------------------
 # Worker process
 # --------------------------------------------------------------------------
@@ -446,10 +509,11 @@ class CodecProcessPool:
     calls under the same contract (see the module docstring).
 
     Completion is delivered by calling the job's ``on_done`` on the
-    pool's collector thread.  A result handed to ``on_done`` is usually
-    a view of a shared slab that is recycled right after the call;
-    callbacks must copy out what they keep, and must not block on work
-    that needs further pool results.
+    pool's collector thread — or, for an identity job, on the thread
+    that submitted it, before the submit returns.  A result handed to
+    ``on_done`` is usually a view of a shared slab that is recycled
+    right after the call; callbacks must copy out what they keep, and
+    must not block on work that needs further pool results.
     """
 
     backend = "process"
@@ -485,6 +549,7 @@ class CodecProcessPool:
         self.jobs_completed = 0
         self.job_failures = 0
         self.inline_jobs = 0
+        self.caller_runs = 0
         self.callback_failures = 0
         self.last_internal_error: Optional[BaseException] = None
         self._procs = []
@@ -510,22 +575,28 @@ class CodecProcessPool:
 
     # -- submission --------------------------------------------------------
 
+    def _admit(self) -> None:
+        """Refuse a job on a broken or closed pool, else count it.
+
+        The caller holds ``_lock``.
+        """
+        if self._broken:
+            raise WorkerCrashedError(f"{self.name}: pool is broken (a worker crashed)")
+        if self._closing or self._closed:
+            raise RuntimeError(f"{self.name}: pool is closed")
+        self.jobs_submitted += 1
+
     def _add_job(self, job: _Job) -> int:
         with self._lock:
-            if self._broken:
+            try:
+                self._admit()
+            except BaseException:
                 if job.slab is not None:
                     job.slab.release()
-                raise WorkerCrashedError(
-                    f"{self.name}: pool is broken (a worker crashed)"
-                )
-            if self._closing or self._closed:
-                if job.slab is not None:
-                    job.slab.release()
-                raise RuntimeError(f"{self.name}: pool is closed")
+                raise
             token = self._next_token
             self._next_token += 1
             self._pending[token] = job
-            self.jobs_submitted += 1
             if job.slab is None:
                 self.inline_jobs += 1
             return token
@@ -555,9 +626,19 @@ class CodecProcessPool:
         ``on_done(exc, header, payload)`` runs on the collector thread:
         either ``exc`` is set, or ``header`` is the frame header and
         ``payload`` the (possibly stored-fallback) payload bytes, valid
-        only during the call.  ``span`` is unused here (see the module
-        docstring).
+        only during the call.  An identity job runs on the caller
+        instead, and only it opens ``span`` (see the module docstring).
         """
+        if _is_identity(codec):
+            _run_on_caller(
+                self,
+                "c",
+                lambda: _compress_payload(data, codec, allow_stored_fallback),
+                lambda: codec.name,
+                on_done=on_done,
+                span=span,
+            )
+            return
         codec_id = codec.codec_id
         codec_blob = None
         known = DEFAULT_REGISTRY.get(codec_id) if codec_id in DEFAULT_REGISTRY else None
@@ -589,15 +670,30 @@ class CodecProcessPool:
         ``payload`` is staged into shared memory and released before
         this returns.  Workers resolve codecs from their own
         ``DEFAULT_REGISTRY``, so any other ``registry`` is refused with
-        ``ValueError`` rather than silently decoded with the wrong one.
-        ``span`` is unused here (see the module docstring).
+        ``ValueError`` rather than silently decoded with the wrong one
+        — even for a codec-id-0 frame, which otherwise runs on the
+        caller and is the only job that opens ``span`` (see the module
+        docstring).
         """
+        if registry is not DEFAULT_REGISTRY:
+            _release_payload(payload)
+            raise ValueError(
+                f"{self.name}: a custom codec registry cannot cross "
+                "the process boundary"
+            )
+        if header.codec_id == 0:
+            view = _payload_bytes(payload)
+            _run_on_caller(
+                self,
+                "d",
+                lambda: (decode_payload(header, view, check_crc=check_crc),),
+                lambda: DEFAULT_REGISTRY.get(0).name,
+                on_done=on_done,
+                span=span,
+                payload=payload,
+            )
+            return
         try:
-            if registry is not DEFAULT_REGISTRY:
-                raise ValueError(
-                    f"{self.name}: a custom codec registry cannot cross "
-                    "the process boundary"
-                )
             slab, slab_index, nbytes, inline = self._stage_payload(
                 _payload_bytes(payload)
             )
@@ -724,6 +820,7 @@ class CodecProcessPool:
                 "job_failures": self.job_failures,
                 "queued": len(self._pending),
                 "inline_jobs": self.inline_jobs,
+                "caller_runs": self.caller_runs,
                 "callback_failures": self.callback_failures,
                 "backend": "process",
                 "broken": self._broken,

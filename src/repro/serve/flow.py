@@ -20,16 +20,23 @@ calls :meth:`handle_read` / :meth:`handle_write` on selector readiness
 and :meth:`pump` after any readiness or job completion; ``pump`` is
 idempotent and drives every transition.
 
+Identity jobs never leave the loop thread: both pools run a NO-level
+decode or re-encode on the submitting thread (see
+:mod:`repro.core.procpool`), so ``pump`` repeats its drain, parse and
+drain passes until one makes no progress, and a NO frame is decoded,
+re-encoded and queued for sending inside a single ``pump``.
+
 Ordering mirrors the pipelines in :mod:`repro.core.pipeline`: decode
 and re-encode jobs complete on whatever worker frees up first, and the
 flow reassembles both strictly in submission order, so the plaintext
 CRC and (in echo mode) the response stream are deterministic
 regardless of scheduling.  Backpressure is two-sided and per flow: the
-flow stops reading its socket while ``decode_in_flight`` exceeds the
-block window or the pending write queue exceeds the byte cap, which
-lets TCP push back on a client outrunning the shared codec pool
-without stalling anybody else's flow.  A job the pool refuses (closed
-pool, crashed worker) fails only its own flow.
+flow stops reading its socket while its one block window —
+``decode_in_flight + encode_in_flight`` against ``max_inflight_blocks``
+— is full, or the pending write queue exceeds the byte cap, which lets
+TCP push back on a client outrunning the shared codec pool without
+stalling anybody else's flow.  A job the pool refuses (closed pool,
+crashed worker) fails only its own flow.
 """
 
 from __future__ import annotations
@@ -179,13 +186,20 @@ class Flow:
         return self._encode_submitted - self._encode_emitted
 
     @property
+    def _jobs_moved(self) -> int:
+        """Grows with every decode submitted and every result drained."""
+        return self._decode_submitted + self._decode_emitted + self._encode_emitted
+
+    @property
+    def _window_open(self) -> bool:
+        """Room in the flow's one window for decodes plus re-encodes."""
+        return self.decode_in_flight + self.encode_in_flight < self._max_inflight
+
+    @property
     def wants_read(self) -> bool:
         if self._eof or self.state not in (FlowState.HANDSHAKING, FlowState.STREAMING):
             return False
-        return (
-            self.decode_in_flight < self._max_inflight
-            and self._out_bytes < self._max_write_buffer
-        )
+        return self._window_open and self._out_bytes < self._max_write_buffer
 
     @property
     def wants_write(self) -> bool:
@@ -231,10 +245,11 @@ class Flow:
 
         ``level`` pins the echo re-encode level through the per-flow
         controller's override (``None`` returns it to adaptive);
-        ``weight`` scales the decode window — the per-flow share of the
-        shared codec substrate — around its configured baseline.  A
-        change during STREAMING is announced to the client as an
-        in-band ``{"ctl": "rebalance", ...}`` control frame.
+        ``weight`` scales the flow's one window for decodes plus echo
+        re-encodes — its share of the shared codec substrate — around
+        its configured baseline.  A change during STREAMING is announced
+        to the client as an in-band ``{"ctl": "rebalance", ...}``
+        control frame.
         """
         changed = False
         if level != self._ctl_level:
@@ -330,7 +345,7 @@ class Flow:
 
         Parsing happens in :meth:`pump` (which the loop always calls
         after readiness), so a burst of reads can never submit past the
-        per-flow decode window, and an EOF with complete-but-unparsed
+        per-flow window, and an EOF with complete-but-unparsed
         frames still buffered is not mistaken for truncation.
         """
         if self._eof or self.state in (FlowState.DRAINING, FlowState.CLOSED):
@@ -439,9 +454,7 @@ class Flow:
     # -- frame parsing / decode submission ---------------------------
 
     def _parse_frames(self) -> None:
-        while True:
-            if self.decode_in_flight >= self._max_inflight:
-                return
+        while self._window_open:
             have = len(self._rx)
             if have < HEADER_SIZE:
                 if have and not MAGIC.startswith(bytes(self._rx[: len(MAGIC)])):
@@ -496,21 +509,29 @@ class Flow:
     def pump(self) -> None:
         """Drain completed codec jobs in order and advance the state.
 
+        Repeats drain-decodes, parse, drain-encodes until a pass makes
+        no progress: an identity job completes inside its submit, so
+        one pass leaves the next one work (a NO frame is decoded,
+        re-encoded and queued without leaving the loop thread).
         Idempotent; called by the server loop after socket readiness
         and after every job-completion notification.
         """
         if self.state is FlowState.CLOSED:
             self._discard_results()
             return
-        self._drain_decodes()
-        if self.state is FlowState.CLOSED:
-            return
-        self._parse_buffered()
-        if self.state is FlowState.CLOSED:
-            return
-        self._drain_encodes()
-        if self.state is FlowState.CLOSED:
-            return
+        while True:
+            mark = self._jobs_moved
+            self._drain_decodes()
+            if self.state is FlowState.CLOSED:
+                return
+            self._parse_buffered()
+            if self.state is FlowState.CLOSED:
+                return
+            self._drain_encodes()
+            if self.state is FlowState.CLOSED:
+                return
+            if self._jobs_moved == mark:
+                break
         if (
             self.state is FlowState.DRAINING
             and not self._trailer_queued
@@ -541,7 +562,7 @@ class Flow:
         if self.state is FlowState.STREAMING and self._eof:
             if not self._rx:
                 self.state = FlowState.DRAINING
-            elif self.decode_in_flight < self._max_inflight:
+            elif self._window_open:
                 # Parsing stopped for lack of bytes, not backpressure:
                 # the peer half-closed mid-frame.
                 self.fail(f"truncated-frame-at-eof ({len(self._rx)} bytes)")

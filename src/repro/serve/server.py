@@ -789,7 +789,7 @@ class TransferServer:
         if flow is None:
             return
         if flow.apply_control(assignment.level, assignment.weight):
-            # The decode window and the write queue may both have
+            # The flow's window and the write queue may both have
             # changed; refresh selector interest immediately.
             self._update_interest(flow)
 

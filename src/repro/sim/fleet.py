@@ -108,6 +108,8 @@ class FleetFlowOutcome:
     flow_id: int
     name: str
     compressibility: str
+    #: Simulated instant the flow finished (not its duration: an
+    #: open-loop flow ran from ``started_at`` to here).
     completion_time: float
     app_bytes: float
     mean_app_rate: float
@@ -152,8 +154,14 @@ class FleetResult:
         return self.total_app_bytes / self.makespan
 
     def completion_percentile(self, pct: float) -> float:
-        """Completion-time percentile (nearest-rank) across flows."""
-        times = sorted(f.completion_time for f in self.flows)
+        """Completion-time percentile (nearest-rank) across flows.
+
+        Ranks each flow's duration, ``completion_time - started_at``:
+        ``completion_time`` is the finish instant, which for open-loop
+        arrivals includes the wait before the flow arrived.  Closed
+        batches start every flow at 0, so there the two agree.
+        """
+        times = sorted(f.completion_time - f.started_at for f in self.flows)
         if not times:
             return 0.0
         rank = max(0, min(len(times) - 1, math.ceil(pct / 100.0 * len(times)) - 1))

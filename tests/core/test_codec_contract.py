@@ -30,6 +30,7 @@ from repro.core.levels import default_level_table
 from repro.core.pipeline import CodecThreadPool, make_block_decoder
 from repro.core.procpool import CodecProcessPool, process_backend_available
 from repro.data import Compressibility, SyntheticCorpus
+from repro.telemetry.events import BUS, SpanClosed
 
 LEVELS = default_level_table()
 
@@ -239,3 +240,155 @@ def test_decoder_keeps_its_registry_on_a_shared_pool(pool):
         assert decoder.blocks_read == 0
     finally:
         decoder.close()
+
+
+class _SubclassedNull(NullCodec):
+    """An id-0 codec that is not exactly ``NullCodec``: no caller run."""
+
+
+class _Recorder(_Outcome):
+    """An ``_Outcome`` that also records the thread ``on_done`` ran on."""
+
+    def compress(self, exc, header, payload) -> None:
+        self.thread = threading.get_ident()
+        super().compress(exc, header, payload)
+
+    def decompress(self, exc, data) -> None:
+        self.thread = threading.get_ident()
+        super().decompress(exc, data)
+
+
+def _identity_frame(corpus):
+    """(plaintext, header, payload bytes) of one codec-id-0 block."""
+    data = corpus.payload(Compressibility.LOW)
+    header, payload = _compress_payload(data, NullCodec(), True)
+    return data, header, bytes(payload)
+
+
+class TestIdentityJobsRunOnCaller:
+    def test_compress_completes_on_the_caller_before_returning(self, pool, corpus):
+        data = corpus.payload(Compressibility.LOW)
+        before = pool.stats()
+        out = _Recorder()
+        pool.submit_compress(data, NullCodec(), on_done=out.compress)
+        assert out.done.is_set() and out.calls == 1
+        assert out.thread == threading.get_ident()
+        exc, header, frame = out.args
+        assert exc is None
+        assert frame == bytes(encode_block(data, NullCodec()).frame)
+        after = pool.stats()
+        for key in ("jobs_submitted", "jobs_completed", "caller_runs"):
+            assert after[key] == before[key] + 1
+
+    def test_decompress_completes_on_the_caller_before_returning(self, pool, corpus):
+        data, header, payload = _identity_frame(corpus)
+        buffers = BufferPool()
+        pooled = buffers.acquire(len(payload))
+        pooled.view[:] = payload
+        before = pool.stats()
+        out = _Recorder()
+        pool.submit_decompress(header, pooled, check_crc=True, on_done=out.decompress)
+        assert out.done.is_set() and out.calls == 1
+        assert out.thread == threading.get_ident()
+        assert out.args == (None, data)
+        assert pooled.view is None and buffers.free_slabs == 1
+        after = pool.stats()
+        assert after["caller_runs"] == before["caller_runs"] + 1
+        assert after["jobs_completed"] == before["jobs_completed"] + 1
+
+    def test_other_id0_codec_still_runs_on_a_worker(self, pool, corpus):
+        data = corpus.payload(Compressibility.LOW)
+        codec = _SubclassedNull()
+        assert codec.codec_id == 0
+        before = pool.stats()["caller_runs"]
+        out = _Recorder()
+        pool.submit_compress(data, codec, on_done=out.compress)
+        exc, header, frame = out.wait()
+        assert exc is None
+        assert frame == bytes(encode_block(data, NullCodec()).frame)
+        assert out.thread != threading.get_ident()
+        assert pool.stats()["caller_runs"] == before
+
+    def test_identity_submit_after_close_raises_and_releases(self, backend, corpus):
+        data, header, payload = _identity_frame(corpus)
+        pool = _new_pool(backend, workers=1)
+        pool.close()
+        buffers = BufferPool()
+        pooled = buffers.acquire(len(payload))
+        pooled.view[:] = payload
+        out = _Outcome()
+        with pytest.raises((ValueError, RuntimeError)):
+            pool.submit_decompress(header, pooled, on_done=out.decompress)
+        assert pooled.view is None
+        assert buffers.free_slabs == 1
+        with pytest.raises((ValueError, RuntimeError)):
+            pool.submit_compress(data, NullCodec(), on_done=out.compress)
+        assert out.calls == 0
+        assert pool.stats()["caller_runs"] == 0
+
+    def test_crc_failure_arrives_through_on_done(self, pool, corpus):
+        _, header, payload = _identity_frame(corpus)
+        damaged = bytearray(payload)
+        damaged[len(damaged) // 2] ^= 0xFF
+        failures = pool.stats()["job_failures"]
+        out = _Outcome()
+        pool.submit_decompress(
+            header, bytes(damaged), check_crc=True, on_done=out.decompress
+        )
+        assert out.done.is_set()
+        exc, data = out.args
+        assert isinstance(exc, CorruptBlockError)
+        assert data is None
+        assert pool.stats()["job_failures"] == failures + 1
+
+    def test_raising_on_done_is_counted_not_raised(self, pool, corpus):
+        data, header, payload = _identity_frame(corpus)
+
+        def owner_bug(*args) -> None:
+            raise RuntimeError("owner bug in on_done")
+
+        before = pool.stats()["callback_failures"]
+        pool.submit_decompress(header, payload, on_done=owner_bug)
+        pool.submit_compress(data, NullCodec(), on_done=owner_bug)
+        assert pool.stats()["callback_failures"] == before + 2
+
+    def test_opens_the_caller_named_span(self, pool, corpus):
+        data, header, payload = _identity_frame(corpus)
+        spans = []
+        handle = BUS.subscribe(spans.append, SpanClosed)
+        try:
+            pool.submit_compress(
+                data, NullCodec(), on_done=_Outcome().compress, span="t.encode"
+            )
+            pool.submit_decompress(
+                header, payload, on_done=_Outcome().decompress, span="t.decode"
+            )
+        finally:
+            BUS.unsubscribe(handle)
+        assert [(s.name, dict(s.tags)) for s in spans] == [
+            ("t.encode", {"worker": "caller", "codec": "null"}),
+            ("t.decode", {"worker": "caller", "codec": "null"}),
+        ]
+
+    def test_custom_registry_for_an_id0_frame(self, pool, corpus):
+        """A thread pool decodes with any registry; a process pool
+        refuses a custom one before any work runs, id 0 included."""
+        data, header, payload = _identity_frame(corpus)
+        registry = CodecRegistry()
+        registry.register(NullCodec())
+        buffers = BufferPool()
+        pooled = buffers.acquire(len(payload))
+        pooled.view[:] = payload
+        out = _Outcome()
+        if pool.backend == "process":
+            with pytest.raises(ValueError, match="registry"):
+                pool.submit_decompress(
+                    header, pooled, registry=registry, on_done=out.decompress
+                )
+            assert out.calls == 0
+        else:
+            pool.submit_decompress(
+                header, pooled, registry=registry, on_done=out.decompress
+            )
+            assert out.args == (None, data)
+        assert pooled.view is None and buffers.free_slabs == 1

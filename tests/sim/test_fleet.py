@@ -85,6 +85,20 @@ class TestPercentiles:
         assert fleet.completion_percentile(1) == times[0]
         assert fleet.completion_percentile(50) in times
 
+    def test_open_loop_ranks_durations_not_finish_instants(self):
+        from repro.sim import FleetArrivalSpec
+
+        fleet = run_fleet_scenario(
+            specs(n_high=1, n_low=1, hi=200 * MB, lo=100 * MB),
+            arrivals=FleetArrivalSpec(30, interval=2.0, mean=4, swing=2),
+            cores=2,
+            seed=3,
+        )
+        durations = sorted(f.completion_time - f.started_at for f in fleet.flows)
+        assert durations != sorted(f.completion_time for f in fleet.flows)
+        assert fleet.completion_percentile(50) == durations[14]
+        assert fleet.completion_percentile(100) == durations[-1]
+
 
 class TestThroughputTelemetry:
     def test_events_and_wall_seconds_populated(self):
