@@ -13,9 +13,12 @@ claims of the PR-10 simulator rewrite:
   10/100/1000 concurrent flows.
 * **fleet** — a 1000-flow open-loop fleet run
   (:class:`~repro.sim.fleet.FleetArrivalSpec`, softmax-modulated
-  arrivals) under every allocation policy.  Gate: each arm completes
-  under a hard wall-clock ceiling, so thousand-flow scenarios stay in
-  CI budget.
+  arrivals) under every allocation policy, on the fleet shape of
+  perfbench's ``sim-fleet`` workload.  Gates: each arm completes under
+  a hard wall-clock ceiling, so thousand-flow scenarios stay in CI
+  budget; every arm is in the regime that exercises Algorithm 1 (each
+  flow lives several epochs and changes level); and the greedy arm
+  holds LOW flows at NO.
 
 Results go to ``BENCH_sim.json``; ``--quick`` is the CI mode (smaller
 engine/churn passes, same 10/100/1000 axis, gates enforced).
@@ -49,13 +52,30 @@ from repro.sim import (
 )
 
 FLOW_COUNTS = (10, 100, 1000)
-POLICIES = (None, "fair-share", "greedy-throughput", "hill-climb")
+GREEDY = "greedy-throughput"
+POLICIES = (None, "fair-share", GREEDY, "hill-climb")
 
-#: Hard CI budget per 1000-flow fleet arm.  Measured ~1.3 s on a dev
-#: container; the ceiling leaves >20x headroom for slow shared runners
-#: while still catching a return to the seed's quadratic link work
-#: (which did not finish in CI budget at all).
+#: The fleet of perfbench's ``sim-fleet`` workload (``SPECS``,
+#: ``ARRIVALS`` and ``CORES`` in ``perfbench/simfleet.py``): flows long
+#: enough that every one runs Algorithm 1 for several epochs, in mixed
+#: classes the fleet controller can tell apart.
+FLEET_SPECS = [
+    FleetFlowSpec("high", Compressibility.HIGH, 1_200_000_000),
+    FleetFlowSpec("moderate", Compressibility.MODERATE, 1_000_000_000),
+    FleetFlowSpec("low", Compressibility.LOW, 800_000_000),
+]
+FLEET_ARRIVALS = FleetArrivalSpec(total_flows=1000, interval=2.0, mean=12, swing=6)
+FLEET_CORES = 4.0
+
+#: Hard CI budget per 1000-flow fleet arm.  Measured 4-6 s on a 2-vCPU
+#: VM; the ceiling leaves headroom for slow shared runners while still
+#: catching a return to the seed's quadratic link work.
 FLEET_WALL_CEILING_S = 30.0
+#: Regime floors (as in perfbench's ``sim-fleet`` check): below them a
+#: fleet arm no longer exercises Algorithm 1 and the controller, and
+#: the arms could tie by construction.
+MIN_EPOCHS_PER_FLOW = 5
+MIN_LOW_AT_NO_SHARE = 0.9
 ALLOCATOR_SPEEDUP_FLOOR = 5.0
 ALLOCATOR_GATE_FLOWS = 1000
 
@@ -231,46 +251,43 @@ def bench_link_churn(cycles: int) -> List[dict]:
     return rows
 
 
-def bench_fleet(total_flows: int) -> List[dict]:
+def bench_fleet() -> List[dict]:
     """Open-loop 1000-flow fleet under every allocation policy."""
-    specs = [
-        FleetFlowSpec("hi", Compressibility.HIGH, 8_000_000),
-        FleetFlowSpec("mod", Compressibility.MODERATE, 6_000_000),
-        FleetFlowSpec("lo", Compressibility.LOW, 4_000_000),
-    ]
-    arrivals = FleetArrivalSpec(
-        total_flows=total_flows,
-        interval=2.0,
-        mean=40.0,
-        swing=20.0,
-        period=600.0,
-    )
     rows = []
     for policy in POLICIES:
         res = run_fleet_scenario(
-            specs,
-            arrivals=arrivals,
+            FLEET_SPECS,
+            arrivals=FLEET_ARRIVALS,
             policy=policy,
             seed=42,
-            epoch_seconds=2.0,
-            cores=8.0,
+            cores=FLEET_CORES,
         )
-        rows.append(
-            {
-                "policy": policy or "uncontrolled",
-                "total_flows": res.flows_spawned,
-                "peak_live": res.peak_live,
-                "makespan_sim_s": res.makespan,
-                "wall_seconds": res.wall_seconds,
-                "events_processed": res.events_processed,
-                "events_per_sec": res.events_per_second,
-                "aggregate_goodput": res.aggregate_goodput,
-            }
-        )
+        low_epochs = low_at_no = 0
+        for f in res.flows:
+            if f.compressibility == Compressibility.LOW.name:
+                low_epochs += sum(f.level_epochs.values())
+                low_at_no += f.level_epochs.get(0, 0)
+        row = {
+            "policy": res.policy or "uncontrolled",
+            "total_flows": res.flows_spawned,
+            "peak_live": res.peak_live,
+            "makespan_sim_s": res.makespan,
+            "wall_seconds": res.wall_seconds,
+            "events_processed": res.events_processed,
+            "events_per_sec": res.events_per_second,
+            "aggregate_goodput": res.aggregate_goodput,
+            "epochs_per_flow_min": min(sum(f.level_epochs.values()) for f in res.flows),
+            "level_changed_share": sum(1 for f in res.flows if len(f.level_epochs) > 1)
+            / len(res.flows),
+            "low_at_no_share": low_at_no / low_epochs if low_epochs else 0.0,
+        }
+        rows.append(row)
         print(
-            f"  fleet/{policy or 'uncontrolled'}: "
+            f"  fleet/{row['policy']}: "
             f"{res.flows_spawned} flows (peak {res.peak_live} live) in "
-            f"{res.wall_seconds:.2f}s wall, {res.events_processed} events",
+            f"{res.wall_seconds:.2f}s wall, {res.events_processed} events, "
+            f">= {row['epochs_per_flow_min']} epochs/flow, "
+            f"LOW at NO {row['low_at_no_share']:.3f}",
             flush=True,
         )
     return rows
@@ -301,6 +318,25 @@ def check_gate(payload: dict) -> List[str]:
                 f"{row['wall_seconds']:.1f}s wall "
                 f"(ceiling {FLEET_WALL_CEILING_S:.0f}s)"
             )
+        if row["epochs_per_flow_min"] < MIN_EPOCHS_PER_FLOW:
+            failures.append(
+                f"fleet/{row['policy']}: a flow lived only "
+                f"{row['epochs_per_flow_min']} epochs (floor {MIN_EPOCHS_PER_FLOW})"
+            )
+        if row["level_changed_share"] < 1.0:
+            failures.append(
+                f"fleet/{row['policy']}: only {row['level_changed_share']:.3f} "
+                "of flows changed level"
+            )
+    greedy = next((r for r in payload["fleet"] if r["policy"] == GREEDY), None)
+    if greedy is None:
+        failures.append(f"no fleet/{GREEDY} row")
+    elif greedy["low_at_no_share"] < MIN_LOW_AT_NO_SHARE:
+        failures.append(
+            f"fleet/{GREEDY}: LOW flows at NO only "
+            f"{greedy['low_at_no_share']:.3f} of epochs "
+            f"(floor {MIN_LOW_AT_NO_SHARE})"
+        )
     for row in payload["link_churn"]:
         if row["pending_after_drain"] != 0:
             failures.append(
@@ -329,11 +365,9 @@ def main(argv=None) -> int:
         n_events = 200_000
         repeats = args.repeats or 20
         churn_cycles = 50
-    fleet_flows = 1000  # the headline claim is always measured at scale
-
     print(
         f"sim benchmark: engine {n_events} events, allocator repeats={repeats}, "
-        f"fleet {fleet_flows} flows",
+        f"fleet {FLEET_ARRIVALS.total_flows} flows",
         flush=True,
     )
     payload = {
@@ -347,11 +381,13 @@ def main(argv=None) -> int:
         "engine": bench_engine(n_events),
         "allocator": bench_allocator(repeats),
         "link_churn": bench_link_churn(churn_cycles),
-        "fleet": bench_fleet(fleet_flows),
+        "fleet": bench_fleet(),
         "gates": {
             "allocator_speedup_floor": ALLOCATOR_SPEEDUP_FLOOR,
             "allocator_gate_flows": ALLOCATOR_GATE_FLOWS,
             "fleet_wall_ceiling_s": FLEET_WALL_CEILING_S,
+            "fleet_min_epochs_per_flow": MIN_EPOCHS_PER_FLOW,
+            "fleet_min_low_at_no_share": MIN_LOW_AT_NO_SHARE,
         },
     }
 

@@ -10,10 +10,10 @@ compressibility class:
 * ``image.jpg`` (a ~250 KB JPEG) — **LOW**: already-compressed data,
   ratio 90–95 %.
 
-We cannot ship the corpus, so this module generates deterministic
-synthetic payloads engineered to land in the same ratio bands (asserted
-by ``tests/data/test_corpus.py``).  The generators model *why* each
-class compresses the way it does:
+We cannot ship the corpus, so this module generates synthetic payloads
+engineered to land in the same ratio bands (asserted by
+``tests/data/test_corpus.py``).  The generators model *why* each class
+compresses the way it does:
 
 * HIGH: scanlines of a bilevel image — long runs with row-to-row
   correlated edges (run lengths jitter slightly between rows).
@@ -21,6 +21,15 @@ class compresses the way it does:
 * LOW: pseudo-random bytes (JPEG entropy-coded payload) sprinkled with
   small structured segments (headers / marker tables) to leave a few
   percent of redundancy.
+
+Determinism: a payload is a pure function of its class, size and seed
+*for one value of* ``PYTHONHASHSEED``.  The generators seed their RNG
+from ``hash((name, seed))``, and Python salts ``str`` hashes per
+process unless ``PYTHONHASHSEED`` is set, so the bytes — though not
+the ratio bands — differ between interpreter runs (the default LOW
+payload compresses to 0.916 of its size under zlib level 6 with
+``PYTHONHASHSEED=0`` and to 0.925 with ``1``).  Pin the variable where
+bytes must repeat across processes, as ``perfbench/run.py`` does.
 """
 
 from __future__ import annotations
@@ -134,7 +143,11 @@ def generate(
     n_bytes: int = DEFAULT_FILE_SIZE,
     seed: int = 0,
 ) -> bytes:
-    """Generate a synthetic payload of the requested class."""
+    """Generate a synthetic payload of the requested class.
+
+    Repeatable within a process; across processes only under one
+    ``PYTHONHASHSEED`` (see the module docstring).
+    """
     if n_bytes < 0:
         raise ValueError("n_bytes must be >= 0")
     return _GENERATORS[compressibility](n_bytes, seed)

@@ -70,7 +70,9 @@ class RepeatingSource(DataSource):
             raise ValueError("payload must be non-empty")
         if total_bytes < 0:
             raise ValueError("total_bytes must be >= 0")
-        self._payload = payload
+        self._payload: Optional[bytes] = payload
+        #: Where a lazy payload comes from (:meth:`from_corpus`).
+        self._corpus: Optional[SyntheticCorpus] = None
         self._total = total_bytes
         self._pos = 0
         self._compressibility = compressibility
@@ -82,8 +84,15 @@ class RepeatingSource(DataSource):
         total_bytes: int,
         corpus: Optional[SyntheticCorpus] = None,
     ) -> "RepeatingSource":
-        corpus = corpus or SyntheticCorpus()
-        return cls(corpus.payload(compressibility), total_bytes, compressibility)
+        """Repeat ``corpus``'s payload of one class (built on first read).
+
+        Until :meth:`read` the source holds only a class, a length and
+        the corpus: the simulator prices data with :meth:`skip` and
+        :meth:`class_at`, so a simulated source never generates bytes.
+        """
+        source = cls(b"\0", total_bytes, compressibility)  # validates the length
+        source._payload, source._corpus = None, corpus or SyntheticCorpus()
+        return source
 
     @property
     def total_bytes(self) -> int:
@@ -109,12 +118,15 @@ class RepeatingSource(DataSource):
         n = min(n, self._total - self._pos)
         if n <= 0:
             return b""
+        payload = self._payload
+        if payload is None:
+            payload = self._payload = self._corpus.payload(self._compressibility)
         out = bytearray()
-        plen = len(self._payload)
+        plen = len(payload)
         while len(out) < n:
             start = self._pos % plen
             take = min(plen - start, n - len(out))
-            out.extend(self._payload[start : start + take])
+            out.extend(payload[start : start + take])
             self._pos += take
         return bytes(out)
 

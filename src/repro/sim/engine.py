@@ -23,6 +23,14 @@ Design notes
 * :meth:`Environment.run` also accepts an :class:`Event` as the stop
   condition, which is how fleet harnesses wait for "all N flows done"
   without polling the process list.
+* End-of-instant hooks: a component whose state changes many times at
+  one simulated instant (the fluid link, when a wake-up completes a
+  flow and that flow transmits again) registers a callable with
+  :meth:`Environment._at_instant_end` and settles once, after every
+  callback of the instant, instead of once per change.  Hooks are not
+  heap events: they take no sequence number and are not counted by
+  :attr:`Environment.events_processed` or
+  :attr:`Environment.pending_events`.
 """
 
 from __future__ import annotations
@@ -194,6 +202,8 @@ class Environment:
         self._seq = itertools.count()
         self._n_cancelled = 0
         self._events_processed = 0
+        #: End-of-instant hooks, in registration order.
+        self._hooks: List[Callable[[], None]] = []
 
     @property
     def now(self) -> float:
@@ -250,6 +260,20 @@ class Environment:
             heapq.heapify(self._heap)
             self._n_cancelled = 0
 
+    def _at_instant_end(self, hook: Callable[[], None]) -> None:
+        """Run ``hook()`` once, before :attr:`now` next advances.
+
+        Hooks run in registration order after every callback of the
+        current instant; :meth:`run` also drains them before it returns.
+        A hook may schedule events, including at the current instant.
+        """
+        self._hooks.append(hook)
+
+    def _run_hooks(self) -> None:
+        hooks = self._hooks
+        while hooks:
+            hooks.pop(0)()
+
     # -- public API ---------------------------------------------------
 
     def event(self) -> Event:
@@ -271,9 +295,12 @@ class Environment:
         :class:`SimulationError` if the heap drains first), or ``None``
         (drain the heap).  An already-triggered until-event returns
         immediately.  Returns the simulation time at which execution
-        stopped.
+        stopped.  End-of-instant hooks run before the clock moves to a
+        later heap time, when the heap empties, and before stopping at
+        ``until``.
         """
         heap = self._heap
+        hooks = self._hooks
         pop = heapq.heappop
         until_time: Optional[float] = None
         fired: List[Event] = []
@@ -284,7 +311,12 @@ class Environment:
                 until.callbacks.append(fired.append)
             else:
                 until_time = until
-        while heap:
+        while True:
+            if hooks and (not heap or heap[0][0] > self._now):
+                self._run_hooks()
+                continue  # a hook may have scheduled events at `now`
+            if not heap:
+                break
             at, _, event = heap[0]
             if until_time is not None and at > until_time:
                 self._now = until_time
@@ -299,6 +331,7 @@ class Environment:
             for callback in callbacks:
                 callback(event)
             if fired:
+                self._run_hooks()
                 return self._now
         if until is not None and isinstance(until, Event):
             raise SimulationError(

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..control import AllocationPolicy, Assignment, FleetController, make_policy
-from ..data.corpus import Compressibility, SyntheticCorpus
+from ..data.corpus import Compressibility
 from ..data.datasource import RepeatingSource
 from ..schemes.base import CompressionScheme, EpochObservation
 from ..schemes.managed import ManagedScheme
@@ -278,20 +278,20 @@ def run_fleet_scenario(
         link = SharedLink(env, capacity=link_capacity, name="nic")
 
         controller: Optional[FleetController] = None
-        sims: Dict[int, TransferSim] = {}
         schemes: Dict[int, CompressionScheme] = {}
         flow_specs: Dict[int, FleetFlowSpec] = {}
         started: Dict[int, float] = {}
         weights: Dict[int, float] = {}
-        live: Dict[int, bool] = {}
+        # Live flows in spawn order (a flow is deleted when it finishes),
+        # so weight sums keep the spawn-order summation.
+        live: Dict[int, TransferSim] = {}
 
         def recompute_shares() -> None:
-            active = [i for i, up in live.items() if up]
-            if not active:
+            if not live:
                 return
-            total = sum(weights[i] for i in active)
-            for i in active:
-                sims[i].cpu_share = min(1.0, cores * weights[i] / total)
+            total = sum(weights[i] for i in live)
+            for i, sim in live.items():
+                sim.cpu_share = min(1.0, cores * weights[i] / total)
 
         if policy is not None:
             policy_obj = make_policy(policy) if isinstance(policy, str) else policy
@@ -315,21 +315,16 @@ def run_fleet_scenario(
 
         completions: Dict[int, float] = {}
         results: Dict[int, TransferResult] = {}
-        # One corpus for the whole fleet: payload generation is the
-        # expensive part and is identical across flows of one class, so
-        # open-loop runs spawning hundreds of flows must share the cache.
-        corpus = SyntheticCorpus()
         done = env.event()
-        state = {"finished": 0, "live": 0, "peak": 0, "spawned": 0}
+        state = {"finished": 0, "peak": 0, "spawned": 0}
 
-        def run_flow(i: int):
+        def run_flow(i: int, sim: TransferSim):
             if controller is not None:
                 controller.flow_opened(i, now=env.now)
-            result = yield from sims[i].run()
+            result = yield from sim.run()
             results[i] = result
             completions[i] = env.now
-            live[i] = False
-            state["live"] -= 1
+            del live[i]
             if controller is not None:
                 controller.flow_closed(i)
             # A finished flow returns its CPU share to the pool either way.
@@ -341,8 +336,6 @@ def run_fleet_scenario(
         def spawn_flow(spec: FleetFlowSpec) -> None:
             i = state["spawned"]
             state["spawned"] += 1
-            state["live"] += 1
-            state["peak"] = max(state["peak"], state["live"])
             inner = RateBasedScheme(model.n_levels)
             scheme: CompressionScheme = (
                 _ObservedScheme(inner, controller) if controller is not None else inner
@@ -351,11 +344,8 @@ def run_fleet_scenario(
             flow_specs[i] = spec
             started[i] = env.now
             weights[i] = 1.0
-            live[i] = True
-            source = RepeatingSource.from_corpus(
-                spec.compressibility, spec.total_bytes, corpus
-            )
-            sims[i] = TransferSim(
+            source = RepeatingSource.from_corpus(spec.compressibility, spec.total_bytes)
+            sim = live[i] = TransferSim(
                 env,
                 link,
                 source,
@@ -368,7 +358,8 @@ def run_fleet_scenario(
                 flow_id=i,
                 flow_name=spec.name,
             )
-            env.process(run_flow(i), name=f"{spec.name}#{i}")
+            state["peak"] = max(state["peak"], len(live))
+            env.process(run_flow(i, sim), name=f"{spec.name}#{i}")
             recompute_shares()
 
         if arrivals is None:
@@ -385,8 +376,8 @@ def run_fleet_scenario(
 
             def spawner():
                 while state["spawned"] < total_flows:
-                    count = arrival_proc.arrivals(env.now, state["live"])
-                    if count == 0 and state["live"] == 0:
+                    count = arrival_proc.arrivals(env.now, len(live))
+                    if count == 0 and not live:
                         # Progress guarantee: never idle with nothing
                         # live and flows still owed.
                         count = 1

@@ -20,10 +20,13 @@ Scale: the allocator sorts demand-capped flows by normalized demand
 (``demand / weight``) once and walks the sorted prefix, so a full
 re-price of N flows is O(N log N) — the seed's restart-from-scratch
 fill with ``list.remove`` was O(N²) and throttled thousand-flow fleets
-(see docs/simulator.md, "Performance and scale").  A dirty flag skips
-repricing entirely when nothing allocation-relevant changed, and the
-single completion wake-up timer is cancelled/reused instead of being
-version-orphaned in the event heap.
+(see docs/simulator.md, "Performance and scale").  The link re-prices
+at most once per simulated instant: a change completes due flows at
+once, but the allocation is settled by an end-of-instant engine hook,
+after every change of that instant, so :attr:`Flow.rate` holds the
+settled allocation and :meth:`SharedLink.current_rate` gives a
+mid-instant read.  The single completion wake-up timer is
+cancelled/reused instead of being version-orphaned in the event heap.
 
 Rates are bytes/second, sizes are bytes, time is seconds.
 """
@@ -63,6 +66,8 @@ class Flow:
 
     # -- live transmission state (owned by the link) -----------------
     remaining: float = 0.0
+    #: Allocation as of the last re-price; a change made at the current
+    #: instant shows here once the instant ends (see ``current_rate``).
     rate: float = 0.0
     completion: Optional[Event] = None
     bytes_done: float = 0.0
@@ -86,8 +91,7 @@ class Flow:
         link = self.link
         link._advance()
         self.demand = demand
-        link._dirty = True
-        link._recompute()
+        link._changed()
 
 
 def _norm_demand(flow: "Flow") -> float:
@@ -167,8 +171,12 @@ class SharedLink:
         self._flows: Dict[int, Flow] = {}
         self._last_update = env.now
         #: True when the active set / a demand / the capacity changed
-        #: since the last re-price; clean recomputes return immediately.
+        #: since the last re-price; a re-price is then registered for
+        #: the end of the instant.
         self._dirty = False
+        #: True when an active flow's residue is within the completion
+        #: epsilon: the next change or query completes it.
+        self._due = False
         self._wake: Optional[Timeout] = None
         self._wake_at = math.inf
         # Cached outcome of the last fill, reused by allocation_preview
@@ -212,8 +220,7 @@ class SharedLink:
             return
         self._advance()
         self._capacity_factor = factor
-        self._dirty = True
-        self._recompute()
+        self._changed()
 
     # -- transmission ------------------------------------------------
 
@@ -233,8 +240,9 @@ class SharedLink:
         flow.remaining = float(nbytes)
         flow.completion = event
         flow._active = True
-        self._dirty = True
-        self._recompute()
+        if flow.remaining <= _COMPLETION_EPS:
+            self._due = True
+        self._changed()
         return event
 
     def send(self, flow: Flow, nbytes: float) -> Generator[Event, None, None]:
@@ -242,9 +250,12 @@ class SharedLink:
         yield self.transmit(flow, nbytes)
 
     def current_rate(self, flow: Flow) -> float:
-        """The flow's instantaneous allocated rate (bytes/s)."""
-        self._advance()
-        self._recompute()
+        """The flow's instantaneous allocated rate (bytes/s).
+
+        Re-prices on demand, so it reflects changes made earlier in the
+        current instant (``flow.rate`` shows them once the instant ends).
+        """
+        self._settle()
         return flow.rate
 
     def allocation_preview(self, extra_demand: Optional[float] = None) -> float:
@@ -252,12 +263,11 @@ class SharedLink:
 
         Used by the epoch-granularity transfer model to price a send
         without mutating link state.  Priced against the cached sorted
-        allocation from the last re-price: O(N) per probe with zero
-        Flow construction, instead of the seed's throwaway-flow full
-        refill.
+        allocation from the last re-price (re-pricing first if this
+        instant changed it): O(N) per probe with zero Flow
+        construction, instead of the seed's throwaway-flow full refill.
         """
-        self._advance()
-        self._recompute()
+        self._settle()
         cap = self.effective_capacity
         weight = self._active_weight + 1.0  # probe weight
         base = self._sorted_demanders
@@ -284,15 +294,63 @@ class SharedLink:
         self._last_update = now
         if dt <= 0:
             return
+        total = self.total_bytes
         for flow in self._flows.values():
             if not flow._active:
                 continue
-            moved = min(flow.remaining, flow.rate * dt)
-            flow.remaining -= moved
+            remaining = flow.remaining
+            moved = flow.rate * dt
+            if moved >= remaining:  # min(remaining, moved), without the call
+                moved = remaining
+            flow.remaining = remaining = remaining - moved
             flow.bytes_done += moved
-            self.total_bytes += moved
-            if flow.remaining <= _COMPLETION_EPS:
-                self._dirty = True  # a completion is due: force re-price
+            total += moved
+            if remaining <= _COMPLETION_EPS:
+                self._due = True
+        self.total_bytes = total
+
+    def _complete_due(self) -> None:
+        """Finish every due flow, in open order, crediting its residue.
+
+        Completion events are triggered at once, not at the instant's
+        re-price, so waiting processes resume in the same order as if
+        the link re-priced after every change.
+        """
+        self._due = False
+        for flow in self._flows.values():
+            if flow._active and flow.remaining <= _COMPLETION_EPS:
+                flow.bytes_done += flow.remaining
+                self.total_bytes += flow.remaining
+                flow.remaining = 0.0
+                flow._active = False
+                flow.rate = 0.0
+                event, flow.completion = flow.completion, None
+                assert event is not None
+                event.succeed()
+
+    def _changed(self) -> None:
+        """Record an allocation-relevant change made at this instant.
+
+        Completes due flows now, retires a wake-up due at or before now
+        (it would only re-price an instant that is already being
+        re-priced) and registers one re-price for the end of the instant.
+        """
+        if self._due:
+            self._complete_due()
+        if self._wake_at <= self.env.now:
+            self._wake.cancel()
+            self._wake = None
+            self._wake_at = math.inf
+        if not self._dirty:
+            self._dirty = True
+            self.env._at_instant_end(self._recompute)
+
+    def _settle(self) -> None:
+        """Bring rates up to date now, for a mid-instant query."""
+        self._advance()
+        if self._due:
+            self._changed()
+        self._recompute()
 
     def _water_fill(self, active: List[Flow]) -> Dict[int, float]:
         """Weighted max-min allocation with per-flow demand caps.
@@ -318,27 +376,13 @@ class SharedLink:
         A no-op unless something allocation-relevant changed since the
         last re-price (`_dirty`), so per-flow events against an
         unchanged fleet — an idle flow closing, a repeated demand cap,
-        a rate query — cost O(1) instead of a full refill.
+        a rate query — cost O(1), and a burst of changes at one instant
+        costs one refill.
         """
         if not self._dirty:
             return
         self._dirty = False
         active = self._active_flows()
-        # Complete anything that has (numerically) finished, crediting
-        # the sub-epsilon residue so byte accounting stays exact.
-        finished = [f for f in active if f.remaining <= _COMPLETION_EPS]
-        for flow in finished:
-            flow.bytes_done += flow.remaining
-            self.total_bytes += flow.remaining
-            flow.remaining = 0.0
-            flow._active = False
-            flow.rate = 0.0
-            event, flow.completion = flow.completion, None
-            assert event is not None
-            event.succeed()
-        if finished:
-            active = [f for f in active if f._active]
-
         weight = sum(map(_get_weight, active))
         demanders = [f for f in active if f.demand is not None]
         demanders.sort(key=_norm_demand)
@@ -383,5 +427,4 @@ class SharedLink:
         self._wake = None
         self._wake_at = math.inf
         self._advance()
-        self._dirty = True
-        self._recompute()
+        self._changed()

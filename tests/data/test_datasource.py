@@ -178,3 +178,35 @@ class TestIterBlocks:
         src = RepeatingSource(b"ab", 4, Compressibility.LOW)
         with pytest.raises(ValueError):
             list(iter_blocks(src, 0))
+
+
+class TestLazyCorpusSource:
+    def test_no_bytes_until_read(self, monkeypatch):
+        from repro.data import corpus as corpus_mod
+
+        generated = []
+        generate = corpus_mod.generate
+
+        def spy(compressibility, n_bytes=corpus_mod.DEFAULT_FILE_SIZE, seed=0):
+            generated.append(compressibility)
+            return generate(compressibility, n_bytes, seed)
+
+        monkeypatch.setattr(corpus_mod, "generate", spy)
+        corpus = SyntheticCorpus(file_size=1024, seed=0)
+        src = RepeatingSource.from_corpus(Compressibility.MODERATE, 5000, corpus)
+        assert src.class_at(0) is Compressibility.MODERATE
+        assert src.skip(1000) == 1000
+        assert not src.exhausted
+        assert generated == []
+
+        eager = RepeatingSource(
+            generate(Compressibility.MODERATE, 1024, 0), 5000, Compressibility.MODERATE
+        )
+        eager.skip(1000)
+        assert src.read(4000) == eager.read(4000)
+        assert generated == [Compressibility.MODERATE]
+        assert src.exhausted
+
+    def test_from_corpus_validates_length(self):
+        with pytest.raises(ValueError):
+            RepeatingSource.from_corpus(Compressibility.LOW, -1)

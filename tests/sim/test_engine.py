@@ -372,3 +372,92 @@ class TestRunUntilEvent:
         env.run()
         # 1 process-init event + 5 timeouts + the process-done event.
         assert env.events_processed == 7
+
+
+class TestInstantEndHooks:
+    def test_hook_runs_once_after_every_callback_of_the_instant(self):
+        env = Environment()
+        log = []
+        gate = env.event()
+
+        def first():
+            yield env.timeout(1.0)
+            env._at_instant_end(lambda: log.append(("hook", env.now)))
+            gate.succeed()  # its waiter resumes later in this instant
+            log.append(("first", env.now))
+            yield env.timeout(1.0)
+            log.append(("first", env.now))
+
+        def second():
+            yield gate
+            log.append(("second", env.now))
+
+        env.process(first())
+        env.process(second())
+        env.run()
+        assert log == [
+            ("first", 1.0),
+            ("second", 1.0),
+            ("hook", 1.0),
+            ("first", 2.0),
+        ]
+
+    def test_hooks_run_in_registration_order(self):
+        env = Environment()
+        order = []
+        for tag in "abc":
+            env._at_instant_end(lambda tag=tag: order.append(tag))
+        env.run()
+        assert order == ["a", "b", "c"]
+
+    def test_hook_runs_before_run_until_time_returns(self):
+        env = Environment()
+        seen = []
+
+        def proc():
+            yield env.timeout(5.0)
+            env._at_instant_end(lambda: seen.append(env.now))
+            yield env.timeout(20.0)
+
+        env.process(proc())
+        assert env.run(until=5.0) == 5.0
+        assert seen == [5.0]
+
+    def test_hook_runs_before_run_until_event_returns(self):
+        env = Environment()
+        done = env.event()
+        seen = []
+
+        def proc():
+            yield env.timeout(3.0)
+            env._at_instant_end(lambda: seen.append(env.now))
+            done.succeed()
+
+        env.process(proc())
+        env.run(until=done)
+        assert seen == [3.0]
+
+    def test_events_a_hook_schedules_when_the_heap_drains_still_run(self):
+        env = Environment()
+        log = []
+
+        def hook():
+            log.append(("hook", env.now))
+            now = env.timeout(0.0)
+            now.callbacks.append(lambda _e: log.append(("same instant", env.now)))
+            later = env.timeout(2.0)
+            later.callbacks.append(lambda _e: log.append(("later", env.now)))
+
+        env._at_instant_end(hook)
+        env.run()
+        assert log == [("hook", 0.0), ("same instant", 0.0), ("later", 2.0)]
+        assert env.now == 2.0
+
+    def test_hooks_are_not_heap_events(self):
+        env = Environment()
+        calls = []
+        env._at_instant_end(lambda: calls.append(env.now))
+        assert env.pending_events == 0
+        env.run()
+        assert calls == [0.0]
+        assert env.events_processed == 0

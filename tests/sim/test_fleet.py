@@ -173,3 +173,46 @@ class TestOpenLoopArrivals:
             FleetArrivalSpec(total_flows=0)
         with pytest.raises(ValueError):
             FleetArrivalSpec(total_flows=5, interval=0.0)
+
+
+class TestPinnedFleetDecisions:
+    """perfbench's ``sim-fleet`` shape at 40 flows, decisions pinned.
+
+    perfbench compares fleets only against fleets of the same checkout,
+    so a change that moves a decision would pass it unnoticed; these
+    values pin the simulator's decisions across changes.  The sim RNG
+    streams are sha256-seeded, so the run does not depend on
+    ``PYTHONHASHSEED``.
+    """
+
+    def test_greedy_fleet_decisions_are_pinned(self):
+        from repro.sim import FleetArrivalSpec
+
+        fleet = run_fleet_scenario(
+            [
+                FleetFlowSpec("high", Compressibility.HIGH, 1_200_000_000),
+                FleetFlowSpec("moderate", Compressibility.MODERATE, 1_000_000_000),
+                FleetFlowSpec("low", Compressibility.LOW, 800_000_000),
+            ],
+            policy="greedy-throughput",
+            arrivals=FleetArrivalSpec(40, interval=2.0, mean=12, swing=6),
+            cores=4,
+            seed=1,
+        )
+        epochs_by_level: dict = {}
+        low_epochs = low_at_no = 0
+        for f in fleet.flows:
+            for level, n in f.level_epochs.items():
+                epochs_by_level[level] = epochs_by_level.get(level, 0) + n
+            if f.compressibility == "LOW":
+                low_epochs += sum(f.level_epochs.values())
+                low_at_no += f.level_epochs.get(0, 0)
+        assert fleet.aggregate_goodput.hex() == "0x1.6ecabf1b9757ap+27"
+        assert epochs_by_level == {0: 648, 1: 350, 2: 194, 3: 35}
+        assert fleet.rebalances == 52
+        assert fleet.events_processed == 8550
+        # The regime the pin is taken in: every flow lives long enough
+        # to adapt, adapts, and greedy holds the LOW flows at NO.
+        assert min(sum(f.level_epochs.values()) for f in fleet.flows) >= 7
+        assert all(len(f.level_epochs) > 1 for f in fleet.flows)
+        assert low_at_no / low_epochs >= 0.9

@@ -276,3 +276,98 @@ class TestCloseFlow:
         env.run()
         assert done.triggered
         assert env.now == pytest.approx(1.0)
+
+
+class TestOncePerInstantPricing:
+    def test_burst_at_one_instant_reprices_once(self, monkeypatch):
+        env, link = make_link(1000.0)
+        flows = [link.open_flow(f"f{i}") for i in range(50)]
+        reprices = []
+        recompute = SharedLink._recompute
+
+        def spy(self):
+            reprices.append(env.now)
+            recompute(self)
+
+        monkeypatch.setattr(SharedLink, "_recompute", spy)
+
+        def burst():
+            yield env.timeout(1.0)
+            for flow in flows:
+                link.transmit(flow, 100.0)
+
+        env.process(burst())
+        env.run()
+        # One re-price for the 50 arrivals, one when all 50 finish.
+        assert reprices == [1.0, 6.0]
+        assert link.total_bytes == pytest.approx(5000.0)
+
+    def test_queries_mid_instant_see_the_change(self):
+        env, link = make_link(100.0)
+        a, b = link.open_flow("a"), link.open_flow("b")
+        seen = {}
+
+        def proc():
+            link.transmit(a, 1000.0)
+            seen["a alone"] = link.current_rate(a)
+            seen["preview beside a"] = link.allocation_preview()
+            link.transmit(b, 1000.0)
+            seen["a.rate before the instant ends"] = a.rate
+            seen["a shared"] = link.current_rate(a)
+            seen["preview beside a and b"] = link.allocation_preview()
+            yield env.timeout(1.0)
+            seen["b.rate once settled"] = b.rate
+
+        env.process(proc())
+        env.run()
+        assert seen == {
+            "a alone": 100.0,
+            "preview beside a": 50.0,
+            "a.rate before the instant ends": 100.0,
+            "a shared": 50.0,
+            "preview beside a and b": pytest.approx(100.0 / 3),
+            "b.rate once settled": 50.0,
+        }
+
+    def test_change_retires_a_wake_up_due_at_its_instant(self, monkeypatch):
+        env, link = make_link(100.0)
+        a, b = link.open_flow("a"), link.open_flow("b")
+        wakes = []
+        on_wake = SharedLink._on_wake
+
+        def spy(self, event):
+            wakes.append(env.now)
+            on_wake(self, event)
+
+        monkeypatch.setattr(SharedLink, "_on_wake", spy)
+
+        def poker():
+            # Scheduled before the link's wake-up for t=1, so it runs first.
+            yield env.timeout(1.0)
+            link.transmit(b, 100.0)
+
+        def sender():
+            yield link.transmit(a, 100.0)
+
+        env.process(poker())
+        env.process(sender())
+        env.run()
+        # The transmit at t=1 completes `a` and re-prices; the wake-up it
+        # made redundant never fires as an extra event.
+        assert wakes == [2.0]
+        assert a.bytes_done == b.bytes_done == 100.0
+
+    def test_flows_finishing_at_one_instant_complete_in_open_order(self):
+        env, link = make_link(100.0)
+        first, second = link.open_flow("first"), link.open_flow("second")
+        order = []
+
+        def proc(flow):
+            yield link.transmit(flow, 100.0)
+            order.append((flow.name, env.now))
+
+        # Transmit in the reverse of open order; both finish at t=2.
+        env.process(proc(second))
+        env.process(proc(first))
+        env.run()
+        assert order == [("first", 2.0), ("second", 2.0)]

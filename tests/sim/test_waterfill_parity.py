@@ -288,6 +288,9 @@ _factor = st.integers(min_value=1, max_value=8).map(lambda k: k / 4.0)
 
 _step = st.one_of(
     st.tuples(st.just("transmit"), st.integers(0, 5), _size, _delay),
+    # Same-instant burst: every idle flow transmits at delay 0, so the
+    # seed link re-prices once per transmit and the new link once.
+    st.tuples(st.just("burst"), st.integers(0, 5), _size, _delay),
     st.tuples(st.just("demand"), st.integers(0, 5), dyadic_demand, _delay),
     st.tuples(st.just("capacity"), st.just(0), _factor, _delay),
 )
@@ -298,19 +301,22 @@ def _replay(link, flows, steps) -> List[tuple]:
     env = link.env
     completions: List[tuple] = []
 
+    def start(i: int, nbytes: float) -> None:
+        flow = flows[i]
+        if flow.transmitting:
+            return
+        ev = link.transmit(flow, nbytes)
+        ev.callbacks.append(lambda _e: completions.append((i, env.now)))
+
     def driver() -> Generator[Event, None, None]:
         for kind, idx, value, delay in steps:
             if delay:
                 yield env.timeout(delay)
             if kind == "transmit":
-                flow = flows[idx % len(flows)]
-                if flow.transmitting:
-                    continue
-                ev = link.transmit(flow, value)
-                i = idx % len(flows)
-                ev.callbacks.append(
-                    lambda _e, i=i: completions.append((i, env.now))
-                )
+                start(idx % len(flows), value)
+            elif kind == "burst":
+                for j in range(len(flows)):
+                    start((idx + j) % len(flows), value * (j + 1))
             elif kind == "demand":
                 flow = flows[idx % len(flows)]
                 # Same-value updates and idle-flow updates are no-ops in
