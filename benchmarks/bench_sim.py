@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import platform
 import random
 import sys
@@ -43,39 +44,30 @@ from typing import Dict, List, Optional
 from bench_pipeline import core_info
 
 from repro.data.corpus import Compressibility
-from repro.sim import (
-    Environment,
-    FleetArrivalSpec,
-    FleetFlowSpec,
-    SharedLink,
-    run_fleet_scenario,
+from repro.sim import Environment, SharedLink, run_fleet_scenario
+
+# The fleet arm runs the fleet of perfbench's ``sim-fleet`` workload
+# (flows long enough that every one runs Algorithm 1 for several epochs,
+# in mixed classes the fleet controller can tell apart) and gates it on
+# that workload's regime floors, imported so the two cannot drift apart.
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from simfleet import (  # noqa: E402
+    ARRIVALS as FLEET_ARRIVALS,
+    CORES as FLEET_CORES,
+    MIN_EPOCHS_PER_FLOW,
+    MIN_LOW_AT_NO_SHARE,
+    SPECS as FLEET_SPECS,
 )
 
 FLOW_COUNTS = (10, 100, 1000)
 GREEDY = "greedy-throughput"
 POLICIES = (None, "fair-share", GREEDY, "hill-climb")
 
-#: The fleet of perfbench's ``sim-fleet`` workload (``SPECS``,
-#: ``ARRIVALS`` and ``CORES`` in ``perfbench/simfleet.py``): flows long
-#: enough that every one runs Algorithm 1 for several epochs, in mixed
-#: classes the fleet controller can tell apart.
-FLEET_SPECS = [
-    FleetFlowSpec("high", Compressibility.HIGH, 1_200_000_000),
-    FleetFlowSpec("moderate", Compressibility.MODERATE, 1_000_000_000),
-    FleetFlowSpec("low", Compressibility.LOW, 800_000_000),
-]
-FLEET_ARRIVALS = FleetArrivalSpec(total_flows=1000, interval=2.0, mean=12, swing=6)
-FLEET_CORES = 4.0
-
 #: Hard CI budget per 1000-flow fleet arm.  Measured 4-6 s on a 2-vCPU
 #: VM; the ceiling leaves headroom for slow shared runners while still
 #: catching a return to the seed's quadratic link work.
 FLEET_WALL_CEILING_S = 30.0
-#: Regime floors (as in perfbench's ``sim-fleet`` check): below them a
-#: fleet arm no longer exercises Algorithm 1 and the controller, and
-#: the arms could tie by construction.
-MIN_EPOCHS_PER_FLOW = 5
-MIN_LOW_AT_NO_SHARE = 0.9
 ALLOCATOR_SPEEDUP_FLOOR = 5.0
 ALLOCATOR_GATE_FLOWS = 1000
 

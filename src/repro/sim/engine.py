@@ -30,7 +30,10 @@ Design notes
   callback of the instant, instead of once per change.  Hooks are not
   heap events: they take no sequence number and are not counted by
   :attr:`Environment.events_processed` or
-  :attr:`Environment.pending_events`.
+  :attr:`Environment.pending_events`.  A timer the hook creates can
+  keep the heap position of the change that caused it: the component
+  draws a sequence number at the change and passes it to
+  :meth:`Environment._timeout_at_seq`.
 """
 
 from __future__ import annotations
@@ -273,6 +276,21 @@ class Environment:
         hooks = self._hooks
         while hooks:
             hooks.pop(0)()
+
+    def _timeout_at_seq(self, delay: float, seq: int) -> Timeout:
+        """A :class:`Timeout` that sorts on the heap under ``seq``.
+
+        ``seq`` is drawn earlier with ``next(self._seq)``.  An
+        end-of-instant hook that creates a timer this way orders it
+        against other events due at the same time as if it had been
+        created when ``seq`` was drawn.
+        """
+        timeout = Timeout.__new__(Timeout)
+        Event.__init__(timeout, self)
+        timeout._triggered = True  # scheduled, as Timeout.__init__ marks it
+        timeout.delay = delay
+        heapq.heappush(self._heap, (self._now + delay, seq, timeout))
+        return timeout
 
     # -- public API ---------------------------------------------------
 

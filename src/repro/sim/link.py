@@ -179,6 +179,8 @@ class SharedLink:
         self._due = False
         self._wake: Optional[Timeout] = None
         self._wake_at = math.inf
+        #: Heap sequence number drawn at the latest change (see _changed).
+        self._wake_seq = 0
         # Cached outcome of the last fill, reused by allocation_preview
         # so pricing a probe never rebuilds Flow objects or re-sorts.
         self._sorted_demanders: List[Flow] = []
@@ -294,20 +296,15 @@ class SharedLink:
         self._last_update = now
         if dt <= 0:
             return
-        total = self.total_bytes
         for flow in self._flows.values():
             if not flow._active:
                 continue
-            remaining = flow.remaining
-            moved = flow.rate * dt
-            if moved >= remaining:  # min(remaining, moved), without the call
-                moved = remaining
-            flow.remaining = remaining = remaining - moved
+            moved = min(flow.remaining, flow.rate * dt)
+            flow.remaining -= moved
             flow.bytes_done += moved
-            total += moved
-            if remaining <= _COMPLETION_EPS:
-                self._due = True
-        self.total_bytes = total
+            self.total_bytes += moved
+            if flow.remaining <= _COMPLETION_EPS:
+                self._due = True  # a completion is due at the next change
 
     def _complete_due(self) -> None:
         """Finish every due flow, in open order, crediting its residue.
@@ -334,6 +331,10 @@ class SharedLink:
         Completes due flows now, retires a wake-up due at or before now
         (it would only re-price an instant that is already being
         re-priced) and registers one re-price for the end of the instant.
+        Draws the heap sequence number a timer created by an inline
+        re-price here would take: the instant's re-price gives it to a
+        new wake-up, so the wake-up ties with events due at the same
+        time exactly as if the link re-priced after this change.
         """
         if self._due:
             self._complete_due()
@@ -341,6 +342,7 @@ class SharedLink:
             self._wake.cancel()
             self._wake = None
             self._wake_at = math.inf
+        self._wake_seq = next(self.env._seq)
         if not self._dirty:
             self._dirty = True
             self.env._at_instant_end(self._recompute)
@@ -418,7 +420,7 @@ class SharedLink:
             if self._wake_at == at:
                 return  # reuse the already-scheduled timer: no churn
             self._wake.cancel()
-        wake = self.env.timeout(delay)
+        wake = self.env._timeout_at_seq(delay, self._wake_seq)
         wake.callbacks.append(self._on_wake)
         self._wake = wake
         self._wake_at = at

@@ -453,6 +453,24 @@ class TestInstantEndHooks:
         assert log == [("hook", 0.0), ("same instant", 0.0), ("later", 2.0)]
         assert env.now == 2.0
 
+    def test_timer_made_by_a_hook_sorts_under_its_drawn_seq(self):
+        env = Environment()
+        log = []
+
+        def proc():
+            seq = next(env._seq)  # drawn before the process's own timeout
+            env._at_instant_end(
+                lambda: env._timeout_at_seq(1.0, seq).callbacks.append(
+                    lambda _e: log.append(("hook's timer", env.now))
+                )
+            )
+            yield env.timeout(1.0)
+            log.append(("process", env.now))
+
+        env.process(proc())
+        env.run()
+        assert log == [("hook's timer", 1.0), ("process", 1.0)]
+
     def test_hooks_are_not_heap_events(self):
         env = Environment()
         calls = []

@@ -180,8 +180,10 @@ class TestPinnedFleetDecisions:
 
     perfbench compares fleets only against fleets of the same checkout,
     so a change that moves a decision would pass it unnoticed; these
-    values pin the simulator's decisions across changes.  The sim RNG
-    streams are sha256-seeded, so the run does not depend on
+    values pin the simulator's decisions across changes.  The inputs
+    are written out rather than imported from ``perfbench/simfleet.py``
+    so that the pin moves only when the simulator's decisions do.  The
+    sim RNG streams are sha256-seeded, so the run does not depend on
     ``PYTHONHASHSEED``.
     """
 
