@@ -1,50 +1,58 @@
-"""Throughput matrix for the parallel block-compression pipeline.
+"""Throughput matrix for the parallel block pipelines, both directions.
 
-Standalone script (not a pytest-benchmark file): it times the serial
-:class:`~repro.codecs.block.BlockWriter` against
-:class:`~repro.core.pipeline.ParallelBlockEncoder` at 2/4/8 workers,
-over the paper's four compression levels and three compressibility
-classes, writes the full matrix to ``BENCH_pipeline.json``, and — in
-``--quick`` mode — enforces the CI regression gate.
+Standalone script (not a pytest-benchmark file).  For every
+(direction, compressibility class, level) row it first times the serial
+path — :class:`~repro.codecs.block.BlockWriter` to encode,
+:class:`~repro.codecs.block.BlockReader` to decode — and then
+:class:`~repro.core.pipeline.ParallelBlockEncoder` or
+:class:`~repro.core.pipeline.ParallelBlockDecoder` at 1/2/4/8 workers
+on each backend.  Every speedup is measured against that row's serial
+cell.  The full matrix goes to ``BENCH_pipeline.json``; in ``--quick``
+mode the CI regression gate is enforced.
 
-The gate is core-aware because threads can only buy throughput where
+The gates are core-aware because workers can only buy throughput where
 there are cores to run them:
 
-* >= 2 usable cores (every hosted CI runner): 4-worker MEDIUM on
-  compressible data must not fall below the serial baseline.
-* 1 usable core: nothing can overlap, so the gate degrades to an
-  overhead floor — the pipeline must keep >= 75 % of serial throughput.
-* >= 4 usable cores and not ``--quick``: additionally assert the
-  headline >= 2x speedup for 4-worker MEDIUM on compressible data.
-
-``--backend both`` adds a process-backend pass per cell (the
-multiprocess shared-memory codec pool of :mod:`repro.core.procpool`)
-so the JSON records the threads-vs-processes crossover.  Its gate at
-MEDIUM/4-workers: processes must reach >= 90 % of thread throughput
-below 4 cores (IPC overhead bound) and beat threads at >= 4 cores
-(where the GIL caps the thread pipeline but not the process one).
+* Encode, 4-worker MEDIUM on compressible data: not below serial with
+  >= 2 usable cores (every hosted CI runner); >= 75 % of serial on a
+  single core, where nothing can overlap; and >= 2x in full runs with
+  >= 4 usable cores.
+* Decode: the pipeline at **1 worker** keeps >= 95 % of serial on any
+  box (the fetch/queue/reassemble machinery may cost at most 5 %).
+  4-worker MEDIUM/HEAVY is not below serial with >= 2 cores, and
+  >= 1.8x in full runs with >= 4 cores.
+* ``--backend both`` adds a process-backend pass per cell (the
+  multiprocess shared-memory codec pool of :mod:`repro.core.procpool`)
+  and gates the threads-vs-processes crossover at MEDIUM/4 workers in
+  each direction: processes keep >= 90 % of thread throughput below 4
+  cores (the IPC overhead bound) and reach parity at >= 4 cores (where
+  the GIL caps the thread pipeline but not the process one).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_pipeline.py [--quick]
-        [--backend thread|process|both]
+        [--backend thread|both]
         [--mib 16] [--repeats 3] [--out BENCH_pipeline.json]
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
 import sys
 import time
+from functools import partial
 
+from repro.codecs.block import BlockReader, BlockWriter
 from repro.codecs.bz2_codec import Bz2Codec
 from repro.codecs.lzma_codec import LzmaCodec
 from repro.codecs.null_codec import NullCodec
 from repro.codecs.zlib_codec import LightZlibCodec
-from repro.core.pipeline import make_block_encoder
+from repro.core.buffers import BufferPool
+from repro.core.pipeline import ParallelBlockDecoder, ParallelBlockEncoder
 from repro.core.procpool import (
     CodecProcessPool,
     process_backend_available,
@@ -65,6 +73,8 @@ LEVELS = (
 )
 
 WORKER_COUNTS = (1, 2, 4, 8)
+
+DIRECTIONS = ("encode", "decode")
 
 
 class NullSink:
@@ -102,11 +112,6 @@ def core_info() -> dict:
     }
 
 
-def usable_cores() -> int:
-    """Cores this process may actually run on (affinity-aware)."""
-    return core_info()["usable_cores"]
-
-
 def resolve_backends(requested: str) -> tuple:
     """Map ``--backend`` to the list of backends actually measurable.
 
@@ -125,19 +130,32 @@ def resolve_backends(requested: str) -> tuple:
     return backends or ("thread",)
 
 
-def one_pass(
-    data: bytes, workers: int, codec, backend: str = "thread", codec_pool=None
-) -> tuple[float, int]:
-    """Push ``data`` through the encoder once; (seconds, wire bytes).
+def encode_stream(data: bytes, codec) -> bytes:
+    """Frame ``data`` into one serial block stream."""
+    sink = io.BytesIO()
+    writer = BlockWriter(sink)
+    with memoryview(data) as view:
+        for offset in range(0, len(data), BLOCK_SIZE):
+            writer.write_block(view[offset : offset + BLOCK_SIZE], codec)
+    return sink.getvalue()
 
-    ``codec_pool`` shares one pre-started pool across repeats so a
-    process-backend cell times steady-state throughput, not worker
-    process boot (pools are long-lived in every real deployment).
+
+def encode_pass(
+    data: bytes, codec, workers: int, backend: str, codec_pool=None
+) -> tuple[float, int]:
+    """Frame ``data`` once; (seconds, wire bytes).
+
+    ``workers=0`` selects the serial :class:`BlockWriter`; any other
+    count runs the :class:`ParallelBlockEncoder`, so the 1-worker cell
+    measures the pipeline machinery's own overhead.
     """
     sink = NullSink()
-    encoder = make_block_encoder(
-        sink, workers=workers, backend=backend, codec_pool=codec_pool
-    )
+    if workers == 0:
+        encoder = BlockWriter(sink)
+    else:
+        encoder = ParallelBlockEncoder(
+            sink, workers=workers, backend=backend, codec_pool=codec_pool
+        )
     t0 = time.perf_counter()
     with memoryview(data) as view:
         for offset in range(0, len(data), BLOCK_SIZE):
@@ -148,16 +166,40 @@ def one_pass(
     return elapsed, sink.nbytes
 
 
+def decode_pass(
+    stream: bytes, workers: int, backend: str, codec_pool=None
+) -> tuple[float, int]:
+    """Decode ``stream`` once; (seconds, plaintext bytes).
+
+    ``workers=0`` selects the serial :class:`BlockReader`; any other
+    count runs the :class:`ParallelBlockDecoder`.
+    """
+    source = io.BytesIO(stream)
+    pool = BufferPool()
+    if workers == 0:
+        decoder = BlockReader(source, pool=pool)
+    else:
+        decoder = ParallelBlockDecoder(
+            source, workers=workers, backend=backend, pool=pool, codec_pool=codec_pool
+        )
+    out = 0
+    t0 = time.perf_counter()
+    for block in decoder:
+        out += len(block)
+    elapsed = time.perf_counter() - t0
+    decoder.close()
+    return elapsed, out
+
+
 def run_matrix(
     mib: int, repeats: int, worker_counts, levels, classes, backends=("thread",)
 ) -> dict:
     """Best-of-``repeats`` seconds for every matrix cell.
 
-    The serial baseline every speedup is measured against is the
-    1-worker *thread* cell (which ``make_block_encoder`` resolves to
-    the plain serial :class:`BlockWriter`), so thread and process cells
-    of one (class, level) share a single denominator and the crossover
-    can be read straight off ``speedup_vs_serial``.
+    A process-backend cell shares one pre-started pool across its
+    repeats, after one unmeasured boot pass, so it times steady-state
+    throughput, not worker process start-up (pools are long-lived in
+    every real deployment).
     """
     total = mib * 2**20
     results = []
@@ -165,44 +207,56 @@ def run_matrix(
         data = generate(cls, total, seed=11)
         for level_name, codec_factory in levels:
             codec = codec_factory()
-            serial_s = None
-            for workers in worker_counts:
-                for backend in backends:
+            stream = encode_stream(data, codec)
+            passes = {
+                # direction -> (one pass, bytes every pass must produce)
+                "encode": (partial(encode_pass, data, codec), len(stream)),
+                "decode": (partial(decode_pass, stream), total),
+            }
+            for direction in DIRECTIONS:
+                one_pass, expected = passes[direction]
+                base = {
+                    "direction": direction,
+                    "class": cls.value,
+                    "level": level_name,
+                    "codec": codec.name,
+                    "ratio": round(len(stream) / total, 4),
+                }
+                serial_s = None
+                cells = [(0, "serial")] + [
+                    (workers, backend)
+                    for workers in worker_counts
+                    for backend in backends
+                ]
+                for workers, backend in cells:
                     shared = None
                     if backend == "process":
                         shared = CodecProcessPool(workers)
-                        # Boot pass: the first submit to a fresh pool
-                        # waits on worker start-up, which must not land
-                        # in any measured repeat.
-                        one_pass(data[:BLOCK_SIZE], workers, codec, backend, shared)
-                    best_s, wire = min(
-                        (
-                            one_pass(data, workers, codec, backend, shared)
-                            for _ in range(repeats)
-                        ),
+                        one_pass(workers, backend, shared)
+                    best_s, out = min(
+                        (one_pass(workers, backend, shared) for _ in range(repeats)),
                         key=lambda pair: pair[0],
                     )
                     if shared is not None:
                         shared.close()
-                    if workers == 1 and backend == "thread":
+                    assert out == expected, (
+                        f"{direction} produced {out} bytes, expected {expected} "
+                        f"at workers={workers}/{backend}"
+                    )
+                    if workers == 0:
                         serial_s = best_s
                     cell = {
-                        "class": cls.value,
-                        "level": level_name,
-                        "codec": codec.name,
+                        **base,
                         "workers": workers,
                         "backend": backend,
                         "seconds": round(best_s, 4),
                         "mb_per_s": round(total / best_s / 1e6, 2),
-                        "ratio": round(wire / total, 4),
-                        "speedup_vs_serial": round(serial_s / best_s, 3)
-                        if serial_s
-                        else 1.0,
+                        "speedup_vs_serial": round(serial_s / best_s, 3),
                     }
                     results.append(cell)
                     print(
-                        f"  {cls.value:8s} {level_name:6s} workers={workers} "
-                        f"{backend:7s}  "
+                        f"  {direction} {cls.value:8s} {level_name:6s} "
+                        f"workers={workers} {backend:7s}  "
                         f"{cell['mb_per_s']:8.1f} MB/s  "
                         f"speedup {cell['speedup_vs_serial']:.2f}x",
                         flush=True,
@@ -223,75 +277,106 @@ def run_matrix(
 
 
 def _cell(
-    payload: dict, cls: str, level: str, workers: int, backend: str = "thread"
+    payload: dict,
+    direction: str,
+    cls: str,
+    level: str,
+    workers: int,
+    backend: str = "thread",
 ) -> dict:
     for cell in payload["results"]:
         if (
-            cell["class"] == cls
+            cell["direction"] == direction
+            and cell["class"] == cls
             and cell["level"] == level
             and cell["workers"] == workers
-            and cell.get("backend", "thread") == backend
+            and cell["backend"] == backend
         ):
             return cell
-    raise KeyError(f"no cell for {cls}/{level}/workers={workers}/{backend}")
+    raise KeyError(f"no {direction} cell for {cls}/{level}/workers={workers}/{backend}")
 
 
-def check_backend_gate(payload: dict) -> list[str]:
+def check_backend_gate(payload: dict, direction: str, cls: str) -> list[str]:
     """Threads-vs-processes gate at the MEDIUM/4-worker headline cell.
 
     Below 4 cores nothing can overlap enough for processes to win, so
     the gate is an IPC-overhead bound: >= 90 % of thread throughput.
-    At >= 4 cores the process pool must actually beat the
+    At >= 4 cores the process pool must reach at least parity with the
     GIL-serialised thread pipeline.
     """
     cores = payload["meta"]["usable_cores"]
-    failures = []
-    for cls in ("HIGH", "MODERATE"):
-        try:
-            thread = _cell(payload, cls, "MEDIUM", 4, "thread")
-            proc = _cell(payload, cls, "MEDIUM", 4, "process")
-        except KeyError:
-            continue
-        ratio = proc["mb_per_s"] / thread["mb_per_s"] if thread["mb_per_s"] else 0.0
-        if cores >= 4 and ratio < 1.0:
-            failures.append(
-                f"{cls}/MEDIUM: process backend slower than threads "
-                f"({ratio:.2f}x) with {cores} cores available"
-            )
-        elif cores < 4 and ratio < 0.90:
-            failures.append(
-                f"{cls}/MEDIUM: process-backend overhead above 10% of "
-                f"threads ({ratio:.2f}x) on {cores} core(s)"
-            )
-    return failures
+    thread = _cell(payload, direction, cls, "MEDIUM", 4, "thread")
+    proc = _cell(payload, direction, cls, "MEDIUM", 4, "process")
+    ratio = proc["mb_per_s"] / thread["mb_per_s"] if thread["mb_per_s"] else 0.0
+    if cores >= 4 and ratio < 1.0:
+        return [
+            f"{direction} {cls}/MEDIUM: process backend slower than threads "
+            f"({ratio:.2f}x) with {cores} cores available"
+        ]
+    if cores < 4 and ratio < 0.90:
+        return [
+            f"{direction} {cls}/MEDIUM: process-backend overhead above 10% of "
+            f"threads ({ratio:.2f}x) on {cores} core(s)"
+        ]
+    return []
 
 
 def check_gate(payload: dict, *, quick: bool) -> list[str]:
-    """Return failure messages (empty = gate passed)."""
+    """Return failure messages (empty = gate passed).
+
+    A rule is skipped only when its level or backend was not part of
+    the run; a cell missing from a measured (level, backend) is itself
+    a failure, so no gate can go quiet on a lookup that misses.
+    """
     cores = payload["meta"]["usable_cores"]
+    measured = {(cell["level"], cell["backend"]) for cell in payload["results"]}
     failures = []
-    for cls in ("HIGH", "MODERATE"):
-        try:
-            four = _cell(payload, cls, "MEDIUM", 4)
-        except KeyError:
-            continue
-        speedup = four["speedup_vs_serial"]
-        if cores >= 2 and speedup < 1.0:
-            failures.append(
-                f"{cls}/MEDIUM: 4 workers below serial ({speedup:.2f}x) "
-                f"with {cores} cores available"
-            )
-        elif cores < 2 and speedup < 0.75:
-            failures.append(
-                f"{cls}/MEDIUM: single-core pipeline overhead too high "
-                f"({speedup:.2f}x of serial, floor is 0.75x)"
-            )
-        if not quick and cores >= 4 and speedup < 2.0:
-            failures.append(
-                f"{cls}/MEDIUM: expected >=2x at 4 workers with "
-                f"{cores} cores, got {speedup:.2f}x"
-            )
-    failures.extend(check_backend_gate(payload))
+    try:
+        for cls in ("HIGH", "MODERATE"):
+            speedup = _cell(payload, "encode", cls, "MEDIUM", 4)["speedup_vs_serial"]
+            if cores >= 2 and speedup < 1.0:
+                failures.append(
+                    f"encode {cls}/MEDIUM: 4 workers below serial ({speedup:.2f}x) "
+                    f"with {cores} cores available"
+                )
+            elif cores < 2 and speedup < 0.75:
+                failures.append(
+                    f"encode {cls}/MEDIUM: single-core pipeline overhead too high "
+                    f"({speedup:.2f}x of serial, floor is 0.75x)"
+                )
+            if not quick and cores >= 4 and speedup < 2.0:
+                failures.append(
+                    f"encode {cls}/MEDIUM: expected >=2x at 4 workers with "
+                    f"{cores} cores, got {speedup:.2f}x"
+                )
+            for level in ("MEDIUM", "HEAVY"):
+                if (level, "thread") not in measured:
+                    continue
+                # Overhead floor holds on any box, 1 core included: at
+                # one worker nothing overlaps, so this isolates the
+                # pipeline machinery's own cost.
+                one = _cell(payload, "decode", cls, level, 1)["speedup_vs_serial"]
+                if one < 0.95:
+                    failures.append(
+                        f"decode {cls}/{level}: 1-worker pipeline overhead above "
+                        f"5% ({one:.3f}x of serial)"
+                    )
+                speedup = _cell(payload, "decode", cls, level, 4)["speedup_vs_serial"]
+                if cores >= 2 and speedup < 1.0:
+                    failures.append(
+                        f"decode {cls}/{level}: 4 workers below serial "
+                        f"({speedup:.2f}x) with {cores} cores available"
+                    )
+                if not quick and cores >= 4 and speedup < 1.8:
+                    failures.append(
+                        f"decode {cls}/{level}: expected >=1.8x at 4 workers "
+                        f"with {cores} cores, got {speedup:.2f}x"
+                    )
+            if ("MEDIUM", "process") in measured:
+                for direction in DIRECTIONS:
+                    failures.extend(check_backend_gate(payload, direction, cls))
+    except KeyError as exc:
+        failures.append(f"gate cell missing: {exc.args[0]}")
     return failures
 
 
@@ -306,7 +391,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=None, help="passes per cell")
     parser.add_argument(
         "--backend",
-        choices=["thread", "process", "both"],
+        choices=["thread", "both"],
         default="thread",
         help="codec backend axis ('both' records the crossover)",
     )
@@ -318,7 +403,7 @@ def main(argv=None) -> int:
 
     if args.quick:
         mib = args.mib or 4
-        repeats = args.repeats or 2
+        repeats = args.repeats or 3
         worker_counts = (1, 4)
         levels = [lv for lv in LEVELS if lv[0] == "MEDIUM"]
         classes = (Compressibility.HIGH, Compressibility.MODERATE)
@@ -331,7 +416,8 @@ def main(argv=None) -> int:
 
     print(
         f"pipeline benchmark: {mib} MiB/class, repeats={repeats}, "
-        f"backends={'/'.join(backends)}, usable cores={usable_cores()}",
+        f"backends={'/'.join(backends)}, "
+        f"usable cores={core_info()['usable_cores']}",
         flush=True,
     )
     payload = run_matrix(mib, repeats, worker_counts, levels, classes, backends)

@@ -111,11 +111,6 @@ class AdaptiveController:
         self._override: Optional[int] = None
 
     @property
-    def model(self):
-        """The inner DecisionModel, when the scheme has one (compat)."""
-        return getattr(self.scheme, "model", None)
-
-    @property
     def current_level(self) -> int:
         if self._override is not None:
             return self._override

@@ -11,18 +11,6 @@
 * ``ext-fairness`` — two adaptive senders sharing one link: both
   converge and the bandwidth split stays near-fair (Jain index), i.e.
   the scheme composes with itself without collapse or capture.
-* ``ext-pipeline`` — the parallel block-compression pipeline
-  (:class:`repro.core.pipeline.ParallelBlockEncoder`) on *real* CPU:
-  byte-identity with the serial path is enforced unconditionally; the
-  speed checks adapt to the machine's core count, since a single-core
-  host cannot exhibit compression parallelism.
-* ``ext-decode`` — the receive-side mirror of ``ext-pipeline``: the
-  parallel decode pipeline
-  (:class:`repro.core.pipeline.ParallelBlockDecoder`) must restore
-  byte-identical plaintext across every (compressibility x level x
-  workers) cell, match the serial resync reader under injected faults,
-  and keep its machinery overhead bounded; speedups are asserted only
-  where cores exist to pay for them.
 * ``ext-control`` — the cross-flow control plane (ROADMAP item 2):
   eight transfers contend for one CPU core and one NIC; the
   :class:`~repro.control.FleetController` policies (fair-share /
@@ -41,16 +29,13 @@
 from __future__ import annotations
 
 import io
-import os
 import statistics
 import threading
 import time
 from typing import Dict, List, Tuple
 
 from ..codecs.block import BlockReader
-from ..codecs.bz2_codec import Bz2Codec
 from ..codecs.errors import CodecError
-from ..core.pipeline import make_block_encoder
 from ..core.recovery import ResyncBlockReader
 from ..core.stream import StaticBlockWriter
 from ..io.faults import FaultPlan, FaultyReader, FaultyWriter
@@ -362,130 +347,6 @@ def run_fairness(scale: float = 0.1, seed: int = 83) -> ExperimentResult:
     )
 
 
-class _DevNull:
-    """Counting sink that discards frames (isolates compression cost)."""
-
-    def __init__(self) -> None:
-        self.nbytes = 0
-
-    def write(self, data) -> int:
-        n = data.nbytes if isinstance(data, memoryview) else len(data)
-        self.nbytes += n
-        return n
-
-
-def _pipeline_pass(data: bytes, workers: int, block_size: int, codec) -> float:
-    """Seconds to push ``data`` through the encoder at ``workers``."""
-    sink = _DevNull()
-    encoder = make_block_encoder(sink, workers=workers)
-    t0 = time.perf_counter()
-    with memoryview(data) as view:
-        for offset in range(0, len(data), block_size):
-            encoder.write_block(view[offset : offset + block_size], codec)
-        encoder.flush()
-    elapsed = time.perf_counter() - t0
-    encoder.close()
-    return elapsed
-
-
-def run_pipeline(
-    scale: float = 0.1, seed: int = 84, repeats: int = 3, workers: int = 4
-) -> ExperimentResult:
-    """Parallel block compression on real CPU: identity + speedup.
-
-    Unlike the other extensions this runs actual codecs on actual
-    threads, so the speed checks are machine-dependent: on a single
-    core the pipeline *cannot* be faster than serial (there is nothing
-    to overlap with), and we only require that its overhead stays
-    bounded.  The byte-identity check is unconditional — it is the wire
-    -format contract the whole design rests on.
-    """
-    if workers < 2:
-        raise ValueError("workers must be >= 2 (1 is the serial baseline)")
-    block_size = 128 * 1024
-    total = max(int(scale * 64) * 2**20, 2 * 2**20)
-    codec = Bz2Codec()
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
-        os.cpu_count() or 1
-    )
-
-    data = generate(Compressibility.MODERATE, total, seed=seed)
-
-    # Byte identity: serial vs parallel, same data, same codec.
-    streams = []
-    for w in (1, workers):
-        sink = io.BytesIO()
-        encoder = make_block_encoder(sink, workers=w)
-        with memoryview(data) as view:
-            for offset in range(0, len(data), block_size):
-                encoder.write_block(view[offset : offset + block_size], codec)
-        encoder.close()
-        streams.append(sink.getvalue())
-    identical = streams[0] == streams[1]
-
-    worker_counts = tuple(sorted({1, 2, workers}))
-    seconds: Dict[int, float] = {
-        w: min(_pipeline_pass(data, w, block_size, codec) for _ in range(repeats))
-        for w in worker_counts
-    }
-    throughput = {w: total / s / 1e6 for w, s in seconds.items()}
-    rows = [
-        [f"{w} worker{'s' if w > 1 else ''}", f"{seconds[w]:.3f}",
-         f"{throughput[w]:.1f}", f"{seconds[1] / seconds[w]:.2f}x"]
-        for w in worker_counts
-    ]
-    rendered = format_table(
-        ["encoder", "best of runs (s)", "MB/s", "speedup"],
-        rows,
-        title=f"bz2 pipeline over {total / 2**20:.0f} MiB MODERATE data "
-        f"({cores} usable core{'s' if cores != 1 else ''})",
-    )
-
-    checks: List[str] = []
-    failures: List[str] = []
-    checks.append(
-        check(
-            identical,
-            f"{workers}-worker wire stream is byte-identical to serial "
-            f"({len(streams[0]):,} bytes)",
-            failures,
-        )
-    )
-    speedup = seconds[1] / seconds[workers]
-    if cores >= 2:
-        checks.append(
-            check(
-                speedup >= 0.95,
-                f"with {cores} cores, {workers} workers do not lose to serial "
-                f"({speedup:.2f}x)",
-                failures,
-            )
-        )
-    else:
-        checks.append(
-            check(
-                speedup >= 0.60,
-                "on a single core the pipeline's overhead stays bounded "
-                f"({speedup:.2f}x of serial; parallel speedup needs >1 core)",
-                failures,
-            )
-        )
-
-    return ExperimentResult(
-        experiment_id="ext-pipeline",
-        title="Extension: parallel block-compression pipeline",
-        rendered=rendered,
-        checks=checks,
-        failures=failures,
-        data={
-            "cores": cores,
-            "identical": identical,
-            "seconds": {str(w): s for w, s in seconds.items()},
-            "throughput_mbps": {str(w): t for w, t in throughput.items()},
-        },
-    )
-
-
 #: ext-faults sweep: level name -> (static level, corpus compressibility).
 #: "STORED" drives incompressible data through LIGHT so every damaged
 #: block exercises the stored-fallback (raw payload under codec id 0).
@@ -706,174 +567,6 @@ def run_faults(scale: float = 0.1, seed: int = 85) -> ExperimentResult:
     return ExperimentResult(
         experiment_id="ext-faults",
         title="Extension: fault injection & recovery on the block transport",
-        rendered=rendered,
-        checks=checks,
-        failures=failures,
-        data=data,
-    )
-
-
-#: ext-decode sweep: every paper level x three compressibility classes.
-DECODE_LEVELS: Tuple[int, ...] = (0, 1, 2, 3)
-DECODE_CLASSES: Tuple[Compressibility, ...] = (
-    Compressibility.HIGH,
-    Compressibility.MODERATE,
-    Compressibility.LOW,
-)
-DECODE_WORKER_COUNTS: Tuple[int, ...] = (1, 2, 4)
-
-
-def run_decode(
-    scale: float = 0.1, seed: int = 86, repeats: int = 2, workers: int = 4
-) -> ExperimentResult:
-    """Parallel receive-path decode: identity, resync parity, overhead.
-
-    The decode mirror of ``ext-pipeline``: for every (compressibility
-    class x compression level x worker count) cell the
-    :class:`~repro.core.pipeline.ParallelBlockDecoder` must restore the
-    exact plaintext the serial :class:`~repro.codecs.block.BlockReader`
-    does — and with seeded bit-flips injected on the wire, the parallel
-    decoder in resync mode must match the serial
-    :class:`~repro.core.recovery.ResyncBlockReader` block for block and
-    skip for skip.  Speed checks are core-aware: a single-core host
-    cannot exhibit decompression parallelism, so only the pipeline's
-    overhead bound applies there.
-    """
-    from ..core.buffers import BufferPool
-    from ..core.pipeline import ParallelBlockDecoder, make_block_decoder
-
-    block_size = 32 * 1024
-    total = max(int(scale * 16 * 2**20), 2**20)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
-        os.cpu_count() or 1
-    )
-
-    rows = []
-    checks: List[str] = []
-    failures: List[str] = []
-    data: Dict[str, Dict] = {"cores": cores, "cells": {}}
-    all_identical = True
-    all_resync_match = True
-
-    for compressibility in DECODE_CLASSES:
-        payload = generate(compressibility, total, seed=seed)
-        for level in DECODE_LEVELS:
-            wire = _pack_static(payload, level, block_size)
-            serial = b"".join(BlockReader(io.BytesIO(wire)))
-            plan = FaultPlan.seeded(seed + level * 7, len(wire), bitflips=3)
-            faulted = io.BytesIO()
-            FaultyWriter(faulted, plan).write(wire)
-            faulted_wire = faulted.getvalue()
-            resync_serial = ResyncBlockReader(io.BytesIO(faulted_wire))
-            resync_blocks = list(resync_serial)
-            cell_key = f"{compressibility.value}/{level}"
-            cell: Dict[str, Dict] = {}
-            for n in DECODE_WORKER_COUNTS:
-                decoder = make_block_decoder(
-                    io.BytesIO(wire), workers=n, pool=BufferPool()
-                )
-                decoded = b"".join(decoder)
-                decoder.close()
-                identical = decoded == serial == payload
-                all_identical &= identical
-
-                rdec = make_block_decoder(
-                    io.BytesIO(faulted_wire),
-                    workers=n,
-                    resync=True,
-                    pool=BufferPool(),
-                )
-                rblocks = list(rdec)
-                rdec.close()
-                resync_match = (
-                    rblocks == resync_blocks
-                    and rdec.blocks_skipped == resync_serial.blocks_skipped
-                )
-                all_resync_match &= resync_match
-                cell[str(n)] = {
-                    "identical": identical,
-                    "resync_match": resync_match,
-                    "blocks_skipped": rdec.blocks_skipped,
-                }
-            data["cells"][cell_key] = cell
-            rows.append(
-                [
-                    compressibility.value,
-                    str(level),
-                    "yes" if all(c["identical"] for c in cell.values()) else "NO",
-                    "yes" if all(c["resync_match"] for c in cell.values()) else "NO",
-                    str(cell[str(DECODE_WORKER_COUNTS[-1])]["blocks_skipped"]),
-                ]
-            )
-
-    # Overhead/speedup leg on the CPU-bound MEDIUM level.
-    perf_payload = generate(Compressibility.MODERATE, total, seed=seed + 1)
-    perf_wire = _pack_static(perf_payload, 2, block_size)
-
-    def _decode_pass(n: int) -> float:
-        source = io.BytesIO(perf_wire)
-        decoder = (
-            BlockReader(source, pool=BufferPool())
-            if n == 0
-            else ParallelBlockDecoder(source, workers=n, pool=BufferPool())
-        )
-        t0 = time.perf_counter()
-        for _ in decoder:
-            pass
-        elapsed = time.perf_counter() - t0
-        decoder.close()
-        return elapsed
-
-    seconds = {n: min(_decode_pass(n) for _ in range(repeats)) for n in (0, 1, workers)}
-    data["seconds"] = {str(n): s for n, s in seconds.items()}
-
-    rendered = format_table(
-        ["class", "level", "identical@1/2/4", "resync parity", "regions skipped"],
-        rows,
-        title=f"Parallel decode sweep over {total / 2**20:.0f} MiB per class, "
-        f"{block_size // 1024} KiB blocks ({cores} usable "
-        f"core{'s' if cores != 1 else ''})",
-    )
-
-    checks.append(
-        check(
-            all_identical,
-            "every (class x level x workers) cell decodes byte-identical to "
-            "the serial reader",
-            failures,
-        )
-    )
-    checks.append(
-        check(
-            all_resync_match,
-            "with injected faults, parallel resync decode matches the serial "
-            "ResyncBlockReader block-for-block and skip-for-skip",
-            failures,
-        )
-    )
-    overhead = seconds[0] / seconds[1]
-    checks.append(
-        check(
-            overhead >= 0.80,
-            f"1-worker pipeline overhead stays bounded at experiment scale "
-            f"({overhead:.2f}x of serial)",
-            failures,
-        )
-    )
-    if cores >= 2:
-        speedup = seconds[0] / seconds[workers]
-        checks.append(
-            check(
-                speedup >= 0.95,
-                f"with {cores} cores, {workers} decode workers do not lose to "
-                f"serial ({speedup:.2f}x)",
-                failures,
-            )
-        )
-
-    return ExperimentResult(
-        experiment_id="ext-decode",
-        title="Extension: parallel receive-path decode pipeline",
         rendered=rendered,
         checks=checks,
         failures=failures,

@@ -34,9 +34,7 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "ext-fileio": extensions.run_fileio,
     "ext-memory": extensions.run_memory,
     "ext-fairness": extensions.run_fairness,
-    "ext-pipeline": extensions.run_pipeline,
     "ext-faults": extensions.run_faults,
-    "ext-decode": extensions.run_decode,
     "ext-control": extensions.run_control,
 }
 
@@ -53,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="ID",
         help=f"experiment ids ({', '.join(EXPERIMENTS)}); 'paper' = all "
-        "paper artifacts; default: paper",
+        "paper artifacts; 'all' = every id; default: paper",
     )
     parser.add_argument(
         "--scale",
@@ -72,13 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="override repeat count for experiments that average over seeds",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="override worker-thread count for experiments that use the "
-        "parallel pipelines (ext-pipeline, ext-decode)",
     )
     parser.add_argument(
         "--json",
@@ -124,9 +115,6 @@ def main(argv=None) -> int:
         if args.repeats is not None:
             if "repeats" in inspect.signature(EXPERIMENTS[exp_id]).parameters:
                 kwargs["repeats"] = args.repeats
-        if args.workers is not None:
-            if "workers" in inspect.signature(EXPERIMENTS[exp_id]).parameters:
-                kwargs["workers"] = args.workers
         t0 = time.perf_counter()
         result = EXPERIMENTS[exp_id](**kwargs)
         elapsed = time.perf_counter() - t0

@@ -333,7 +333,6 @@ def run_socket_transfer(
     workers: int = 1,
     decode_workers: int = 1,
     backend: str = "thread",
-    vectored: bool = True,
     resync: bool = False,
     connect_policy: Optional[RetryPolicy] = None,
     send_timeout: Optional[float] = None,
@@ -360,10 +359,10 @@ def run_socket_transfer(
     multi-core scaling past the GIL; wire bytes and plaintext stay
     byte-identical, and the knob degrades to threads with a one-time
     warning where shared memory is unavailable.
-    ``vectored`` (default on) sends each frame as header+payload parts
-    in one ``sendmsg`` via :class:`VectoredSocketWriter`; it is
-    automatically disabled when ``wrap_sink`` or ``rate_limit``
-    interposes a byte-stream wrapper that must see every wire byte.
+    Each frame goes out as header+payload parts in one ``sendmsg`` via
+    :class:`VectoredSocketWriter`, unless ``wrap_sink`` or
+    ``rate_limit`` interposes a byte-stream wrapper that must see every
+    wire byte; the sender then writes through ``makefile("wb")``.
 
     Robustness knobs: ``connect_policy`` retries the connect with
     exponential backoff (default :class:`RetryPolicy()`);
@@ -410,7 +409,7 @@ def run_socket_transfer(
             retry_on=(OSError,),
         )
         sock.settimeout(send_timeout)
-        if vectored and wrap_sink is None and rate_limit is None:
+        if wrap_sink is None and rate_limit is None:
             # Nothing needs to observe the byte stream: write frames
             # straight to the socket, header+payload per sendmsg.
             raw_sink = VectoredSocketWriter(sock)

@@ -209,11 +209,6 @@ def prom_label_escape(value: object) -> str:
     )
 
 
-# Backwards-compatible private aliases (pre-operability-PR names).
-_prom_name = prom_metric_name
-_prom_number = prom_number
-
-
 class PrometheusTextExporter:
     """Render a :class:`MetricsRegistry` in Prometheus text format.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import random
 import threading
 import time
 
@@ -10,11 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codecs import BlockReader, BlockWriter, NullCodec, RleCodec
+from repro.codecs import (
+    HEADER_SIZE,
+    BlockReader,
+    BlockWriter,
+    Bz2Codec,
+    NullCodec,
+    RleCodec,
+)
 from repro.codecs.base import Codec, CodecInfo
 from repro.codecs.zlib_codec import LightZlibCodec
 from repro.core import AdaptiveBlockWriter, StaticBlockWriter
-from repro.core.pipeline import ParallelBlockEncoder, make_block_encoder
+from repro.core.buffers import BufferPool
+from repro.core.pipeline import (
+    ParallelBlockDecoder,
+    ParallelBlockEncoder,
+    make_block_encoder,
+)
+from repro.data.corpus import Compressibility, generate
 from repro.telemetry.events import BUS, PipelineQueueDepth, SpanClosed
 
 from ..conftest import all_codecs
@@ -286,6 +300,45 @@ class TestByteIdentityProperty:
             streams.append(sink.getvalue())
         assert streams[0] == streams[1]
         assert list(BlockReader(io.BytesIO(streams[0]))) == [payload]
+
+    @pytest.mark.parametrize(
+        "kind, codec",
+        [
+            ("HIGH", Bz2Codec(level=1)),
+            ("LOW", LightZlibCodec()),
+            ("random", LightZlibCodec()),
+        ],
+        ids=["HIGH-bz2-1", "LOW-zlib-1", "random-stored"],
+    )
+    def test_paper_block_size_both_pipelines(self, kind, codec):
+        """The paper's 128 KiB blocks over 2 MiB: the 4-worker encode is
+        the serial encode byte for byte, and the 4-worker decoder with a
+        buffer pool returns the serial reader's blocks.  The LOW corpus
+        still shrinks to about 0.92 under LIGHT, so only random bytes
+        give full-block stored-fallback frames."""
+        block_size = 128 * 1024
+        if kind == "random":
+            data = random.Random(0).randbytes(2 * 2**20)
+        else:
+            data = generate(Compressibility[kind], 2 * 2**20)
+        streams = []
+        for workers in (1, 4):
+            sink = io.BytesIO()
+            encoder = make_block_encoder(sink, workers=workers)
+            for off in range(0, len(data), block_size):
+                encoder.write_block(data[off : off + block_size], codec)
+            encoder.close()
+            streams.append(sink.getvalue())
+        assert streams[0] == streams[1]
+        serial = list(BlockReader(io.BytesIO(streams[0])))
+        assert b"".join(serial) == data
+        with ParallelBlockDecoder(
+            io.BytesIO(streams[0]), workers=4, pool=BufferPool()
+        ) as decoder:
+            assert list(decoder) == serial
+        if kind == "random":
+            frames = len(data) // block_size
+            assert len(streams[0]) == len(data) + frames * HEADER_SIZE
 
 
 class SteppingClock:

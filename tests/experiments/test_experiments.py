@@ -80,9 +80,6 @@ class TestExtensions:
     def test_fairness(self):
         assert_result_ok(extensions.run_fairness(scale=SCALE))
 
-    def test_pipeline(self):
-        assert_result_ok(extensions.run_pipeline(scale=SCALE, repeats=1))
-
     def test_faults(self):
         assert_result_ok(extensions.run_faults(scale=SCALE))
 

@@ -66,10 +66,11 @@ class TestParallelReceivePath:
         assert res.receiver_bytes == 1_000_000
 
     def test_unvectored_sender_roundtrip(self, corpus):
-        """vectored=False keeps the makefile('wb') sender path working."""
+        """A rate limit interposes a byte-stream wrapper, so the sender
+        writes through makefile('wb'); that path stays working."""
         src = RepeatingSource.from_corpus(Compressibility.MODERATE, 500_000, corpus)
         res = run_socket_transfer(
-            src, static_level=2, block_size=32 * 1024, vectored=False
+            src, static_level=2, block_size=32 * 1024, rate_limit=1e9
         )
         assert res.receiver_bytes == 500_000
 
