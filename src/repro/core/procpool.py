@@ -73,7 +73,11 @@ calls.  The rules both pools keep:
   the caller-named span (tagged ``worker="caller"``) on either pool,
   and counts in ``jobs_submitted``/``jobs_completed`` and in
   ``caller_runs``.  Subclasses and other id-0 codecs still run on
-  workers: only the stock identity is known to be cheap.
+  workers: only the stock identity is known to be cheap.  The rule
+  serves the pipelines; the serve daemon's flows check codec-id-0
+  frames themselves and never submit them (see
+  :mod:`repro.serve.flow`), so in the daemon it runs only when a
+  compressed frame is echoed at level NO.
 
 That is what lets :class:`~repro.core.pipeline.ParallelBlockEncoder`,
 :class:`~repro.core.pipeline.ParallelBlockDecoder` and the serve

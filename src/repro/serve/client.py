@@ -29,7 +29,13 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple, Union
 
-from ..codecs.block import HEADER_SIZE, MAGIC, decode_header, decode_payload
+from ..codecs.block import (
+    HEADER_SIZE,
+    MAGIC,
+    crc32_combine,
+    decode_header,
+    decode_payload,
+)
 from ..codecs.registry import DEFAULT_REGISTRY
 from ..core.levels import CompressionLevelTable, default_level_table
 from ..core.stream import AdaptiveBlockWriter, StaticBlockWriter
@@ -368,7 +374,11 @@ class ServeClient:
                 header = decode_header(raw)
                 payload = buf.read_exact(header.compressed_len, "block payload")
                 data = decode_payload(header, payload, DEFAULT_REGISTRY)
-                crc = zlib.crc32(data, crc) & 0xFFFFFFFF
+                if header.codec_id == 0:
+                    # Verified above: the frame CRC covers exactly data.
+                    crc = crc32_combine(crc, header.crc32, len(data))
+                else:
+                    crc = zlib.crc32(data, crc) & 0xFFFFFFFF
                 if collect:
                     chunks.append(data)
             elif prefix == CONTROL_MAGIC:

@@ -20,11 +20,20 @@ calls :meth:`handle_read` / :meth:`handle_write` on selector readiness
 and :meth:`pump` after any readiness or job completion; ``pump`` is
 idempotent and drives every transition.
 
-Identity jobs never leave the loop thread: both pools run a NO-level
-decode or re-encode on the submitting thread (see
-:mod:`repro.core.procpool`), so ``pump`` repeats its drain, parse and
-drain passes until one makes no progress, and a NO frame is decoded,
-re-encoded and queued for sending inside a single ``pump``.
+Identity frames (codec id 0: level NO and the stored fallback) never
+become pool jobs.  ``pump`` copies each one, header and payload, into
+one :class:`~repro.core.buffers.BufferPool` slab and checks it on the
+loop thread with the same ``decode_payload`` a pool would run; the
+plaintext CRC folds in the verified frame CRC
+(:func:`~repro.codecs.block.crc32_combine`) instead of reading the bytes
+again; and when the echo level is NO the received frame, its header
+repacked with flags 0, is the echo frame.  A compressed frame echoed at
+NO still re-encodes through the pool's caller-run rule (see
+:mod:`repro.core.procpool`).  So ``pump`` repeats its drain, parse and
+drain passes until one makes no progress, and a NO frame is checked,
+echoed and queued for sending inside a single ``pump``, which
+:meth:`Flow.handle_write` then puts on the wire with the rest of its
+turn in one ``sendmsg``.
 
 Ordering mirrors the pipelines in :mod:`repro.core.pipeline`: decode
 and re-encode jobs complete on whatever worker frees up first, and the
@@ -41,21 +50,37 @@ crashed worker) fails only its own flow.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 import zlib
 from collections import deque
+from dataclasses import replace
 from enum import Enum
 from functools import partial
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, NamedTuple, Optional, Tuple
 
-from ..codecs.block import HEADER_SIZE, MAGIC, decode_header, frame_payload
+from ..codecs.base import Codec
+from ..codecs.block import (
+    HEADER,
+    HEADER_SIZE,
+    MAGIC,
+    BlockHeader,
+    EncodedBlock,
+    _header_fields,
+    crc32_combine,
+    decode_header,
+    decode_payload,
+    frame_payload,
+)
 from ..codecs.errors import CodecError
 from ..codecs.registry import DEFAULT_REGISTRY
-from ..core.buffers import BufferPool
+from ..core.buffers import BufferPool, PooledBuffer
 from ..core.controller import AdaptiveController
 from ..core.levels import CompressionLevelTable
 from ..core.pipeline import CodecPool
+from ..core.procpool import _is_identity
+from ..telemetry import spans
 from ..telemetry.events import BUS, TransferProgress
 from .protocol import (
     MODE_ECHO,
@@ -73,6 +98,12 @@ PROGRESS_EVERY_BYTES = 8 * 1024 * 1024
 #: Upper bound a client may request as the echo re-encode block size.
 MAX_CLIENT_BLOCK_SIZE = 4 * 1024 * 1024
 
+#: Most buffers one ``sendmsg`` may carry on this platform.
+try:
+    IOV_MAX = max(1, os.sysconf("SC_IOV_MAX"))
+except (AttributeError, ValueError, OSError):  # pragma: no cover - platform-dependent
+    IOV_MAX = 16
+
 
 class FlowState(Enum):
     """Lifecycle of a served flow (see module docstring)."""
@@ -81,6 +112,19 @@ class FlowState(Enum):
     STREAMING = "streaming"
     DRAINING = "draining"
     CLOSED = "closed"
+
+
+class _Received(NamedTuple):
+    """A verified identity frame, held as received until drained."""
+
+    header: BlockHeader
+    #: The whole frame, header and payload, in one pool slab.
+    frame: PooledBuffer
+    #: The decoded payload (``decode_payload``'s copy).
+    data: bytes
+
+    def release(self) -> None:
+        self.frame.release()
 
 
 class Flow:
@@ -128,7 +172,8 @@ class Flow:
         self._lock = threading.Lock()
         self._rx = bytearray()
         self._eof = False
-        #: seq -> bytes | BaseException (decode), filled by pool workers.
+        #: seq -> bytes | _Received | BaseException (decode): bytes from
+        #: pool workers, _Received from the loop thread's identity check.
         self._decode_results: Dict[int, object] = {}
         self._decode_submitted = 0
         self._decode_emitted = 0
@@ -367,40 +412,53 @@ class Flow:
         self._rx.extend(data)
 
     def handle_write(self, quantum: int = 256 * 1024) -> int:
-        """Send up to ``quantum`` queued bytes; returns bytes sent.
+        """Send up to ``quantum`` queued bytes in one ``sendmsg``.
 
-        The quantum is the fairness unit: the server loop gives every
-        writable flow one bounded turn per iteration, so a fat flow
-        with a fast consumer cannot monopolise the loop thread.
+        Returns the bytes sent.  The quantum is the fairness unit: the
+        server loop gives every writable flow one bounded turn per
+        iteration, so a fat flow with a fast consumer cannot monopolise
+        the loop thread.  The turn gathers queued buffers, at most
+        :data:`IOV_MAX` of them, from the first unsent byte; each
+        buffer's owner is released once its last byte is sent.
         """
-        sent_total = 0
-        while self._out and sent_total < quantum:
-            buf, owner = self._out[0]
-            with memoryview(buf) as whole:
-                view = whole[self._out_offset :]
-                budget = min(view.nbytes, quantum - sent_total)
-                try:
-                    sent = self.sock.send(view[:budget])
-                except (BlockingIOError, InterruptedError):
-                    break
-                except OSError as exc:
-                    self.fail(f"send-error: {exc}")
-                    return sent_total
-                self._out_offset += sent
-                sent_total += sent
-                self.bytes_out += sent
-                done = self._out_offset == whole.nbytes
-            if done:
-                self._out.popleft()
-                self._out_offset = 0
-                if owner is not None:
-                    owner.release()
-            if sent < budget:
+        parts = []
+        room = quantum
+        skip = self._out_offset
+        for buf, _ in self._out:
+            view = memoryview(buf)[skip:]
+            skip = 0
+            if view.nbytes > room:
+                view = view[:room]
+            parts.append(view)
+            room -= view.nbytes
+            if not room or len(parts) == IOV_MAX:
                 break
-        if sent_total:
+        if not parts:
+            return 0
+        try:
+            sent = self.sock.sendmsg(parts)
+        except (BlockingIOError, InterruptedError):
+            return 0
+        except OSError as exc:
+            self.fail(f"send-error: {exc}")
+            return 0
+        left = sent
+        while self._out:
+            buf, owner = self._out[0]
+            rest = memoryview(buf).nbytes - self._out_offset
+            if left < rest:
+                self._out_offset += left
+                break
+            left -= rest
+            self._out.popleft()
+            self._out_offset = 0
+            if owner is not None:
+                owner.release()
+        if sent:
+            self.bytes_out += sent
             self.last_activity = self._clock()
-            self._out_bytes -= sent_total
-        return sent_total
+            self._out_bytes -= sent
+        return sent
 
     # -- handshake ---------------------------------------------------
 
@@ -464,11 +522,21 @@ class Flow:
             need = HEADER_SIZE + header.compressed_len
             if have < need:
                 return
+            seq = self._decode_submitted
+            self._decode_submitted += 1
+            if header.codec_id == 0:
+                # An identity frame never becomes a pool job: the whole
+                # frame is copied out once and checked right here.
+                frame = self._buffer_pool.acquire(need)
+                frame.view[:] = memoryview(self._rx)[:need]
+                del self._rx[:need]
+                result = self._check_identity(header, frame)
+                with self._lock:
+                    self._decode_results[seq] = result
+                continue
             payload = self._buffer_pool.acquire(header.compressed_len)
             payload.view[:] = memoryview(self._rx)[HEADER_SIZE:need]
             del self._rx[:need]
-            seq = self._decode_submitted
-            self._decode_submitted += 1
             try:
                 # check_crc: nothing upstream of the flow has CRC'd
                 # this payload; the pool releases it once consumed.
@@ -482,6 +550,26 @@ class Flow:
                 )
             except BaseException as exc:  # noqa: BLE001 - fails this flow only
                 self._complete(self._decode_results, seq, exc)
+
+    def _check_identity(self, header: BlockHeader, frame: PooledBuffer) -> object:
+        """CRC- and length-check one identity frame: ``_Received`` or the error.
+
+        The same ``decode_payload`` a pool's identity job runs, under
+        the same ``serve.decode`` span; a frame that fails goes back to
+        the buffer pool at once.
+        """
+        payload = frame.view[HEADER_SIZE:]
+        try:
+            if BUS.active:
+                name = self._registry.get(0).name
+                with spans.span("serve.decode", worker="caller", codec=name):
+                    data = decode_payload(header, payload, self._registry)
+            else:
+                data = decode_payload(header, payload, self._registry)
+        except Exception as exc:  # noqa: BLE001 - fails this flow only
+            frame.release()
+            return exc
+        return _Received(header, frame, data)
 
     # -- job completion (any pool thread) ----------------------------
 
@@ -510,11 +598,12 @@ class Flow:
         """Drain completed codec jobs in order and advance the state.
 
         Repeats drain-decodes, parse, drain-encodes until a pass makes
-        no progress: an identity job completes inside its submit, so
-        one pass leaves the next one work (a NO frame is decoded,
-        re-encoded and queued without leaving the loop thread).
-        Idempotent; called by the server loop after socket readiness
-        and after every job-completion notification.
+        no progress: an identity frame is checked as it is parsed, and
+        an identity re-encode completes inside its submit, so one pass
+        leaves the next one work (a NO frame is checked, echoed and
+        queued without leaving the loop thread).  Idempotent; called by
+        the server loop after socket readiness and after every
+        job-completion notification.
         """
         if self.state is FlowState.CLOSED:
             self._discard_results()
@@ -577,10 +666,16 @@ class Flow:
             if isinstance(result, BaseException):
                 self.fail(f"decode-error: {result!r}")
                 return
-            data: bytes = result  # type: ignore[assignment]
+            received = result if isinstance(result, _Received) else None
+            if received is not None:
+                data = received.data
+                # The verified frame CRC covers exactly these bytes.
+                self.crc32 = crc32_combine(self.crc32, received.header.crc32, len(data))
+            else:
+                data = result  # type: ignore[assignment]
+                self.crc32 = zlib.crc32(data, self.crc32) & 0xFFFFFFFF
             self.blocks_in += 1
             self.app_bytes += len(data)
-            self.crc32 = zlib.crc32(data, self.crc32) & 0xFFFFFFFF
             if self.controller is not None:
                 self.controller.record(len(data))
                 self.controller.poll(self._clock())
@@ -598,14 +693,42 @@ class Flow:
                     )
                 )
             if self.mode == MODE_ECHO:
-                self._submit_echo(data)
+                codec = self._echo_codec()
+                if received is not None and _is_identity(codec):
+                    self._send_back(received)
+                    continue
+                self._submit_echo(data, codec)
+            if received is not None:
+                received.release()
 
-    def _submit_echo(self, data: bytes) -> None:
+    def _echo_codec(self) -> Codec:
         if self._echo_static_level is not None:
             level = self._echo_static_level
         else:
             level = self.controller.current_level if self.controller else 0
-        codec = self._levels.codec(level)
+        return self._levels.codec(level)
+
+    def _send_back(self, received: _Received) -> None:
+        """Echo an identity frame as received, at the next encode seq.
+
+        A NullCodec re-encode of the payload would keep its lengths and
+        CRC and pack flags 0 (a stored-fallback frame arrives with flags
+        1), so the header is packed again in place exactly as that
+        re-encode packs it, and the received frame is the echo frame.
+        """
+        header = received.header
+        if header.flags:
+            header = replace(header, flags=0)
+        view = received.frame.view
+        HEADER.pack_into(view, 0, *_header_fields(header))
+        seq = self._encode_submitted
+        self._encode_submitted += 1
+        with self._lock:
+            self._encode_results[seq] = EncodedBlock(
+                frame=view, header=header, buf=received.frame
+            )
+
+    def _submit_echo(self, data: bytes, codec: Codec) -> None:
         seq = self._encode_submitted
         self._encode_submitted += 1
         try:
@@ -667,7 +790,7 @@ class Flow:
             encode_results, self._encode_results = self._encode_results, {}
         self._decode_emitted += len(decode_results)
         self._encode_emitted += len(encode_results)
-        for result in encode_results.values():
+        for result in (*decode_results.values(), *encode_results.values()):
             if hasattr(result, "release"):
                 result.release()
 

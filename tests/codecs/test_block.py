@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import io
+import random
+import sys
+import threading
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +31,8 @@ from repro.codecs import (
     decode_payload,
     encode_block,
 )
-from repro.codecs.block import FLAG_STORED_FALLBACK, MAGIC
+from repro.codecs import block
+from repro.codecs.block import FLAG_STORED_FALLBACK, MAGIC, crc32_combine
 
 
 class TestEncodeDecode:
@@ -256,6 +261,68 @@ class TestBlockProperties:
         """With fallback, framing never costs more than the header."""
         block = encode_block(data, LzmaCodec(preset=0))
         assert block.frame_len <= HEADER_SIZE + len(data)
+
+
+#: Every length the combine walks differently: 0, 1, and 2**k - 1, 2**k,
+#: 2**k + 1 (one bit, all low bits, two bits) up to the frame ceiling.
+COMBINE_LENGTHS = sorted(
+    {0, 1}
+    | {
+        n
+        for k in range(1, MAX_BLOCK_LEN.bit_length())
+        for n in (2**k - 1, 2**k, 2**k + 1)
+        if n <= MAX_BLOCK_LEN
+    }
+)
+
+
+class TestCrc32Combine:
+    """crc32_combine(crc(a), crc(b), len(b)) is crc(a + b), reading neither."""
+
+    @given(
+        a=st.binary(max_size=64),
+        len2=st.sampled_from(COMBINE_LENGTHS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_crc_of_the_concatenation(self, a, len2, seed):
+        b = random.Random(seed).randbytes(len2)
+        combined = crc32_combine(zlib.crc32(a), zlib.crc32(b), len2)
+        assert combined == zlib.crc32(a + b)
+
+    def test_tables_built_by_racing_threads_are_right(self, monkeypatch):
+        """Eight threads build the lazy tables at once from empty."""
+        monkeypatch.setattr(block, "_CRC32_ZEROS", [])
+        lengths = [MAX_BLOCK_LEN - 1, 2**20 + 1, 16383, 131073, 3, 2**21]
+        cases = [(n, random.Random(n).randbytes(n)) for n in lengths]
+        errors = []
+
+        def run(offset: int) -> None:
+            for n, b in cases[offset:] + cases[:offset]:
+                if crc32_combine(7, zlib.crc32(b), n) != zlib.crc32(b, 7):
+                    errors.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(i % len(cases),)) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(block._CRC32_ZEROS) == MAX_BLOCK_LEN.bit_length()
+
+    @pytest.mark.parametrize("len2", COMBINE_LENGTHS)
+    def test_every_length_from_any_start(self, len2):
+        b = random.Random(len2).randbytes(len2)
+        for crc1 in (0, 1, 0xFFFFFFFF, 0x12345678):
+            assert crc32_combine(crc1, zlib.crc32(b), len2) == zlib.crc32(b, crc1)
 
 
 class TestBufferInputs:

@@ -1,28 +1,44 @@
 """One per-flow window for decodes and echo re-encodes, and pump quiescence.
 
 A flow's ``max_inflight_blocks`` bounds ``decode_in_flight +
-encode_in_flight`` together.  Identity (NO-level) jobs complete inside
-their submit, so decodes no longer pace re-encodes: without the shared
-window a flow whose re-encodes are slow would pile every buffered
-frame's re-encode onto the codec pool.  ``pump`` runs to quiescence,
-so buffered identity frames are decoded, re-encoded and queued in one
-call.
+encode_in_flight`` together.  Identity (NO-level) frames are checked on
+the loop thread as they are parsed, so decodes no longer pace
+re-encodes: without the shared window a flow whose re-encodes are slow
+would pile every buffered frame's re-encode onto the codec pool.
+``pump`` runs to quiescence, so buffered identity frames are checked,
+echoed and queued in one call, without a single pool job.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import random
 import socket
+import sys
+import time
+import zlib
 
 import pytest
 
-from repro.codecs.block import _compress_payload, decode_payload, encode_block
+from repro.codecs.block import (
+    FORMAT_VERSION,
+    HEADER,
+    HEADER_SIZE,
+    MAGIC,
+    _compress_payload,
+    decode_block,
+    decode_header,
+    decode_payload,
+    encode_block,
+)
 from repro.codecs.null_codec import NullCodec
 from repro.core.buffers import BufferPool
 from repro.core.levels import default_level_table
 from repro.core.pipeline import CodecThreadPool
 from repro.serve import ServeClient, ServeConfig, TransferServer
-from repro.serve.flow import Flow, FlowState
-from repro.serve.protocol import MODE_ECHO, encode_hello
+from repro.serve.flow import IOV_MAX, Flow, FlowState
+from repro.serve.protocol import CONTROL_MAGIC, MODE_ECHO, encode_hello, parse_control
 
 WINDOW = 4
 BLOCK = 1024
@@ -72,22 +88,23 @@ def wire():
     b.close()
 
 
-def _echo_flow(sock, codec_pool) -> Flow:
+def _echo_flow(sock, codec_pool, buffer_pool=None) -> Flow:
     return Flow(
         1,
         sock,
         peer="test",
         levels=default_level_table(),
         codec_pool=codec_pool,
-        buffer_pool=BufferPool(),
+        buffer_pool=buffer_pool if buffer_pool is not None else BufferPool(),
         notify=lambda flow: None,
         max_inflight_blocks=WINDOW,
         clock=lambda: 0.0,
     )
 
 
-def _send_echo_stream(peer, blocks, *, eof: bool) -> None:
-    peer.sendall(encode_hello(MODE_ECHO, {"level": "NO", "block_size": BLOCK}))
+def _send_echo_stream(peer, blocks, *, eof: bool, level: str = "NO") -> None:
+    """NO frames of ``blocks``; the flow echoes them at ``level``."""
+    peer.sendall(encode_hello(MODE_ECHO, {"level": level, "block_size": BLOCK}))
     for block in blocks:
         peer.sendall(encode_block(block, NullCodec()).frame)
     if eof:
@@ -107,12 +124,12 @@ def _in_window(flow: Flow) -> bool:
 
 class TestOneWindow:
     def test_held_reencodes_stay_inside_the_window(self, wire):
-        """32 NO frames against a pool that holds every re-encode: the
-        window stops at 4 outstanding re-encodes instead of 32."""
+        """32 NO frames echoed at LIGHT against a pool that holds every
+        re-encode: the window stops at 4 outstanding re-encodes, not 32."""
         sock, peer = wire
         pool = DecodeNowHoldCompress()
         flow = _echo_flow(sock, pool)
-        _send_echo_stream(peer, _frames(32), eof=True)
+        _send_echo_stream(peer, _frames(32), eof=True, level="LIGHT")
         for _ in range(8):
             _serve_once(flow)
             assert _in_window(flow)
@@ -137,7 +154,7 @@ class TestOneWindow:
         sock, peer = wire
         pool = DecodeNowHoldCompress()
         flow = _echo_flow(sock, pool)
-        _send_echo_stream(peer, _frames(12), eof=True)
+        _send_echo_stream(peer, _frames(12), eof=True, level="LIGHT")
         _serve_once(flow)  # the hello and every frame
         assert flow.state is FlowState.STREAMING and not flow._eof
         flow.handle_read()  # the EOF, window or not
@@ -165,13 +182,12 @@ class TestPumpQuiescence:
             assert (flow.blocks_in, flow.blocks_out) == (16, 16)
             assert not flow._rx
             assert flow.decode_in_flight == flow.encode_in_flight == 0
-            stats = pool.stats()
-            assert stats["caller_runs"] == stats["jobs_submitted"] == 32
+            assert pool.stats()["jobs_submitted"] == 0
         finally:
             pool.close()
 
 
-def test_no_no_echo_flow_runs_every_job_on_the_loop_thread():
+def test_no_no_echo_flow_submits_no_pool_job():
     srv = TransferServer(ServeConfig(port=0, codec_workers=2)).start()
     try:
         host, port = srv.address
@@ -181,7 +197,277 @@ def test_no_no_echo_flow_runs_every_job_on_the_loop_thread():
         )
         assert result.data == data
         stats = srv.codec_pool.stats()
-        assert stats["jobs_submitted"] == 2 * result.trailer["blocks_in"] > 0
-        assert stats["caller_runs"] == stats["jobs_submitted"]
+        assert stats["jobs_submitted"] == 0 < result.trailer["blocks_in"]
     finally:
         srv.stop(drain=False)
+
+
+# -- fault paths and stored frames through one flow ----------------------
+
+LEVELS = default_level_table()
+
+
+def _no_frame(block: bytes) -> bytes:
+    return bytes(encode_block(block, NullCodec()).frame)
+
+
+def _light_frame(block: bytes) -> bytes:
+    frame = bytes(encode_block(block, LEVELS.codec(LEVELS.index_of("LIGHT"))).frame)
+    assert decode_header(frame).codec_id != 0  # really a codec frame
+    return frame
+
+
+def _flip_payload_byte(frame: bytes) -> bytes:
+    damaged = bytearray(frame)
+    damaged[HEADER_SIZE + 3] ^= 0x40
+    return bytes(damaged)
+
+
+def _drive(flow: Flow, peer, frames, *, level: str) -> bytes:
+    """Upload ``frames`` with echo level ``level``, run the flow until it
+    closes, then return every byte the peer received."""
+    peer.sendall(encode_hello(MODE_ECHO, {"level": level, "block_size": BLOCK}))
+    for frame in frames:
+        peer.sendall(frame)
+    peer.shutdown(socket.SHUT_WR)
+    deadline = time.monotonic() + 10.0
+    while flow.state is not FlowState.CLOSED:
+        assert time.monotonic() < deadline, flow
+        _serve_once(flow)
+        while flow.wants_write and flow.handle_write():
+            pass
+        flow.pump()
+        time.sleep(0.001)  # pool workers finish codec frames meanwhile
+    flow.sock.close()
+    received = []
+    while True:
+        chunk = peer.recv(1 << 16)
+        if not chunk:
+            return b"".join(received)
+        received.append(chunk)
+
+
+def _split(wire: bytes):
+    """(control bodies, raw block frames) in the order they arrived."""
+    controls, frames = [], []
+    pos = 0
+    while pos < len(wire):
+        if wire.startswith(CONTROL_MAGIC, pos):
+            body, used = parse_control(wire[pos:])
+            controls.append(body)
+            pos += used
+        else:
+            end = pos + HEADER_SIZE + decode_header(wire[pos:]).compressed_len
+            assert end <= len(wire), "echo ends inside a frame"
+            frames.append(wire[pos:end])
+            pos = end
+    return controls, frames
+
+
+@pytest.fixture()
+def codec_pool():
+    pool = CodecThreadPool(2, name="test-fault-paths")
+    yield pool
+    pool.close()
+
+
+def _assert_failed_cleanly(flow, codec_pool, buffers, wire, blocks, bad: int) -> None:
+    """decode-error, no byte of frame ``bad`` or later echoed, no trailer,
+    and every slab back in the buffer pool."""
+    assert flow.failure.startswith("decode-error: CorruptBlockError("), flow.failure
+    controls, echoed = _split(wire)
+    assert all("crc32" not in body for body in controls)  # no trailer
+    assert len(echoed) <= bad
+    assert [decode_block(frame) for frame in echoed] == blocks[: len(echoed)]
+    codec_pool.close()  # no job still holds a slab
+    flow.pump()  # and no late result either
+    stats = buffers.stats()
+    assert stats["oversize"] == 0
+    assert stats["free_slabs"] == stats["misses"] > 0
+
+
+class TestFaultPaths:
+    def test_flipped_no_frame_fails_the_flow(self, wire, codec_pool):
+        sock, peer = wire
+        buffers = BufferPool()
+        flow = _echo_flow(sock, codec_pool, buffers)
+        blocks = _frames(6)
+        frames = [_no_frame(b) for b in blocks]
+        frames[3] = _flip_payload_byte(frames[3])
+        wire_out = _drive(flow, peer, frames, level="NO")
+        _assert_failed_cleanly(flow, codec_pool, buffers, wire_out, blocks, bad=3)
+
+    def test_identity_length_mismatch_fails_the_flow(self, wire, codec_pool):
+        sock, peer = wire
+        buffers = BufferPool()
+        flow = _echo_flow(sock, codec_pool, buffers)
+        blocks = _frames(6)
+        frames = [_no_frame(b) for b in blocks]
+        lying = HEADER.pack(
+            MAGIC, FORMAT_VERSION, 0, 0, BLOCK + 1, BLOCK, zlib.crc32(blocks[3])
+        )
+        frames[3] = lying + blocks[3]  # CRC right, lengths disagree
+        wire_out = _drive(flow, peer, frames, level="NO")
+        _assert_failed_cleanly(flow, codec_pool, buffers, wire_out, blocks, bad=3)
+        assert "header claim" in flow.failure
+
+    def test_flipped_light_frame_fails_through_the_pool(self, wire, codec_pool):
+        sock, peer = wire
+        buffers = BufferPool()
+        flow = _echo_flow(sock, codec_pool, buffers)
+        blocks = _frames(6)
+        frames = [_light_frame(b) for b in blocks]
+        frames[3] = _flip_payload_byte(frames[3])
+        wire_out = _drive(flow, peer, frames, level="NO")
+        _assert_failed_cleanly(flow, codec_pool, buffers, wire_out, blocks, bad=3)
+        assert codec_pool.stats()["jobs_submitted"] > 0
+
+    def test_stored_fallback_frames_echo_at_no_with_flags_zero(self, wire, codec_pool):
+        sock, peer = wire
+        flow = _echo_flow(sock, codec_pool)
+        rng = random.Random(11)
+        blocks = [rng.randbytes(BLOCK) for _ in range(6)]
+        frames = [
+            bytes(encode_block(b, LEVELS.codec(LEVELS.index_of("LIGHT"))).frame)
+            for b in blocks
+        ]
+        assert all(decode_header(f).flags == 1 for f in frames)  # stored
+        controls, echoed = _split(_drive(flow, peer, frames, level="NO"))
+        assert flow.ok, flow.failure
+        # Exactly what a NullCodec re-encode of each payload writes.
+        assert echoed == [_no_frame(b) for b in blocks]
+        assert all(decode_header(f).flags == 0 for f in echoed)
+        assert controls[-1]["crc32"] == zlib.crc32(b"".join(blocks))
+
+    @pytest.mark.parametrize("level", ["NO", "LIGHT"])
+    def test_interleaved_no_and_light_frames_echo_in_order(
+        self, wire, codec_pool, level
+    ):
+        sock, peer = wire
+        flow = _echo_flow(sock, codec_pool)
+        blocks = _frames(24)
+        frames = [
+            _no_frame(b) if i % 3 else _light_frame(b) for i, b in enumerate(blocks)
+        ]
+        controls, echoed = _split(_drive(flow, peer, frames, level=level))
+        assert flow.ok, flow.failure
+        assert [decode_block(frame) for frame in echoed] == blocks
+        trailer = controls[-1]
+        assert trailer["crc32"] == zlib.crc32(b"".join(blocks))
+        assert trailer["app_bytes"] == len(blocks) * BLOCK
+        assert trailer["blocks_in"] == trailer["blocks_out"] == len(blocks)
+
+    def test_interleaved_frames_in_order_under_switch_stress(self, wire):
+        """More pool workers than cores, a thread switch every few
+        bytecodes: pool results and loop-thread results still land in
+        order, and the fold matches the client's CRC."""
+        sock, peer = wire
+        pool = CodecThreadPool(2 * (os.cpu_count() or 1) + 2, name="test-stress")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            flow = _echo_flow(sock, pool)
+            blocks = [bytes([i % 251, i % 7]) * (BLOCK // 2) for i in range(96)]
+            frames = [
+                _no_frame(b) if i % 2 else _light_frame(b) for i, b in enumerate(blocks)
+            ]
+            controls, echoed = _split(_drive(flow, peer, frames, level="NO"))
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert flow.ok, flow.failure
+        assert [decode_block(frame) for frame in echoed] == blocks
+        assert controls[-1]["crc32"] == zlib.crc32(b"".join(blocks))
+
+
+# -- one sendmsg per write turn -----------------------------------------
+
+
+class _Owner:
+    def __init__(self) -> None:
+        self.releases = 0
+
+    def release(self) -> None:
+        self.releases += 1
+
+
+def _queue_all(flow: Flow, bufs) -> tuple:
+    """Queue ``bufs`` with one counting owner each; (owners, end offsets)."""
+    owners = [_Owner() for _ in bufs]
+    for buf, owner in zip(bufs, owners):
+        flow._queue(buf, owner=owner)
+    return owners, list(itertools.accumulate(memoryview(b).nbytes for b in bufs))
+
+
+def _assert_released_on_last_byte(flow: Flow, owners, ends) -> None:
+    for owner, end in zip(owners, ends):
+        assert owner.releases == (1 if flow.bytes_out >= end else 0)
+
+
+@pytest.fixture()
+def narrow_wire():
+    """Like ``wire``, but the flow side's send buffer holds about 8 KB."""
+    a, b = socket.socketpair()
+    a.setblocking(False)
+    a.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    b.settimeout(10.0)
+    yield a, b
+    a.close()
+    b.close()
+
+
+class TestHandleWrite:
+    QUANTUM = 5000
+
+    def test_quantum_short_sends_and_release_on_last_byte(self, narrow_wire):
+        sock, peer = narrow_wire
+        flow = _echo_flow(sock, DecodeNowHoldCompress())
+        rng = random.Random(5)
+        raw = [rng.randbytes(n) for n in (3000, 20000, 1, 7000, 12345, 500, 4999)]
+        bufs = [raw[0], bytearray(raw[1]), memoryview(raw[2])] + raw[3:]
+        owners, ends = _queue_all(flow, bufs)
+        got = bytearray()
+        full_turns = short_turns = 0
+        while flow.wants_write:
+            queued = flow._out_bytes
+            sent = flow.handle_write(self.QUANTUM)
+            assert 0 <= sent <= self.QUANTUM
+            full_turns += sent == min(self.QUANTUM, queued)
+            short_turns += 0 < sent < min(self.QUANTUM, queued)
+            _assert_released_on_last_byte(flow, owners, ends)
+            if sent == 0:  # the send buffer is full: let the peer read
+                while len(got) < flow.bytes_out:
+                    got += peer.recv(1 << 16)
+        while len(got) < flow.bytes_out:
+            got += peer.recv(1 << 16)
+        assert bytes(got) == b"".join(raw)
+        assert flow.bytes_out == ends[-1] and flow._out_bytes == 0
+        assert full_turns and short_turns  # both limits were reached
+        assert [o.releases for o in owners] == [1] * len(owners)
+
+    def test_more_buffers_than_iov_max_go_out_in_order(self, wire):
+        sock, peer = wire
+        flow = _echo_flow(sock, DecodeNowHoldCompress())
+        bufs = [i.to_bytes(2, "big") for i in range(IOV_MAX + 7)]
+        owners, ends = _queue_all(flow, bufs)
+        assert flow.handle_write(1 << 20) == 2 * IOV_MAX  # one sendmsg
+        _assert_released_on_last_byte(flow, owners, ends)
+        assert flow.handle_write(1 << 20) == 2 * 7
+        got = bytearray()
+        while len(got) < ends[-1]:
+            got += peer.recv(1 << 16)
+        assert bytes(got) == b"".join(bufs)
+        assert [o.releases for o in owners] == [1] * len(owners)
+
+    def test_fail_releases_each_unsent_owner_once(self, narrow_wire):
+        sock, peer = narrow_wire
+        flow = _echo_flow(sock, DecodeNowHoldCompress())
+        bufs = [bytes([i]) * 6000 for i in range(3)]
+        owners, ends = _queue_all(flow, bufs)
+        sent = flow.handle_write(1 << 20)
+        assert ends[0] <= sent < ends[1]  # the second buffer went out in part
+        _assert_released_on_last_byte(flow, owners, ends)
+        flow.fail("test")
+        flow.fail("test again")
+        assert [o.releases for o in owners] == [1, 1, 1]
+        assert not flow.wants_write and flow.handle_write() == 0
