@@ -7,8 +7,9 @@ runs a :class:`~repro.serve.TransferServer` — one event-loop thread,
 one shared codec pool, one shared buffer pool — and pushes N concurrent
 flows of *different compressibility* through it at once.  Half the
 flows upload (server decodes, counts and CRC-checks), half round-trip
-in echo mode (the server re-encodes every block through that flow's own
-adaptive controller and streams it back, verified byte-for-byte).
+in echo mode (the server echoes every block at the level that flow's own
+adaptive controller picks, sending a NO frame back as received, and the
+client verifies the stream byte-for-byte).
 
 Also the CI smoke driver: exits non-zero if any flow fails
 verification, so ``timeout N python examples/serve_many_flows.py``
