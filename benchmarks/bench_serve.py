@@ -51,7 +51,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_serve.py [--quick]
         [--backend thread|process|both]
-        [--mib 8] [--shards N] [--out BENCH_serve.json]
+        [--mib 8] [--out BENCH_serve.json]
         [--control] [--repeats 2] [--control-out BENCH_control.json]
         [--slo]
 """
@@ -82,7 +82,6 @@ def run_round(
     flows: int,
     codec_workers: int,
     backend: str = "thread",
-    shards: int = 0,
     policy: str | None = None,
     control_interval: float = 1.0,
 ) -> dict:
@@ -93,7 +92,6 @@ def run_round(
             max_flows=flows + 4,
             codec_workers=codec_workers,
             codec_backend=backend,
-            codec_shards=shards,
             policy=policy,
             control_interval=control_interval,
         )
@@ -154,13 +152,12 @@ def run_matrix(
     codec_workers: int,
     flow_counts,
     backends=("thread",),
-    shards: int = 0,
 ) -> dict:
     data = generate(Compressibility.MODERATE, mib * 2**20, seed=13)
     rounds = []
     for backend in backends:
         for flows in flow_counts:
-            cell = run_round(data, flows, codec_workers, backend, shards)
+            cell = run_round(data, flows, codec_workers, backend)
             rounds.append(cell)
             print(
                 f"  flows={flows:3d} {cell['codec_backend']:7s}  "
@@ -179,7 +176,7 @@ def run_matrix(
             if rounds
             else None,
             "backends": sorted({c["codec_backend"] for c in rounds}),
-            "codec_shards": rounds[0]["codec_shards"] if rounds else shards,
+            "codec_shards": rounds[0]["codec_shards"] if rounds else None,
             **core_info(),
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -572,12 +569,6 @@ def main(argv=None) -> int:
         default="thread",
         help="codec executor backend ('both' records the crossover)",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="process-backend codec shards (0 = one per codec worker)",
-    )
     parser.add_argument("--out", default="BENCH_serve.json", help="JSON output path")
     parser.add_argument(
         "--control",
@@ -662,7 +653,7 @@ def main(argv=None) -> int:
         f"usable cores={core_info()['usable_cores']}",
         flush=True,
     )
-    payload = run_matrix(mib, args.workers, FLOW_COUNTS, backends, args.shards)
+    payload = run_matrix(mib, args.workers, FLOW_COUNTS, backends)
     with open(args.out, "w") as fp:
         json.dump(payload, fp, indent=2)
     print(f"matrix written to {args.out}")

@@ -147,9 +147,7 @@ class EncodedParts:
         result without a type check."""
 
 
-def _compress_payload(
-    data: BlockData, codec: Codec, allow_stored_fallback: bool
-) -> tuple:
+def _compress_payload(data: BlockData, codec: Codec) -> tuple:
     """Shared compress + stored-fallback step: (header, payload)."""
     data_len = _nbytes(data)
     if BUS.active:
@@ -169,7 +167,7 @@ def _compress_payload(
         payload = codec.compress(data)
     codec_id = codec.codec_id
     flags = 0
-    if allow_stored_fallback and codec_id != 0 and _nbytes(payload) >= data_len:
+    if codec_id != 0 and _nbytes(payload) >= data_len:
         payload = data
         codec_id = 0
         flags |= FLAG_STORED_FALLBACK
@@ -231,11 +229,7 @@ def frame_payload(
 
 
 def encode_block(
-    data: BlockData,
-    codec: Codec,
-    *,
-    allow_stored_fallback: bool = True,
-    pool: Optional[object] = None,
+    data: BlockData, codec: Codec, *, pool: Optional[object] = None
 ) -> EncodedBlock:
     """Compress ``data`` with ``codec`` and wrap it in a frame.
 
@@ -248,19 +242,17 @@ def encode_block(
     blocks instead of allocating one per call; the caller must then
     ``release()`` the block after writing it.
 
-    If the codec expands the data and ``allow_stored_fallback`` is set,
-    the block is stored raw (codec id 0) with ``FLAG_STORED_FALLBACK``
+    If the codec expands the data (or saves nothing), the block is
+    stored raw (codec id 0) with ``FLAG_STORED_FALLBACK``
     so that incompressible data never costs more than the 20-byte
     header.  The stored fallback borrows the input buffer directly — no
     defensive copy is taken.
     """
-    header, payload = _compress_payload(data, codec, allow_stored_fallback)
+    header, payload = _compress_payload(data, codec)
     return frame_payload(header, payload, pool=pool)
 
 
-def encode_block_parts(
-    data: BlockData, codec: Codec, *, allow_stored_fallback: bool = True
-) -> EncodedParts:
+def encode_block_parts(data: BlockData, codec: Codec) -> EncodedParts:
     """Compress ``data`` but keep header and payload as separate parts.
 
     Same compression, fallback and CRC semantics as
@@ -270,7 +262,7 @@ def encode_block_parts(
     go out in one ``sendmsg``).  Wire bytes are identical to the
     assembled frame.
     """
-    header, payload = _compress_payload(data, codec, allow_stored_fallback)
+    header, payload = _compress_payload(data, codec)
     return frame_payload(header, payload, vectored=True)
 
 
@@ -475,9 +467,8 @@ class BlockWriter:
     payload copy fewer.
     """
 
-    def __init__(self, sink: BinaryIO, *, allow_stored_fallback: bool = True) -> None:
+    def __init__(self, sink: BinaryIO) -> None:
         self._sink = sink
-        self._allow_stored_fallback = allow_stored_fallback
         self._writev = getattr(sink, "writev", None)
         self.blocks_written = 0
         self.bytes_in = 0
@@ -487,14 +478,10 @@ class BlockWriter:
         self, data: BlockData, codec: Codec
     ) -> Union[EncodedBlock, EncodedParts]:
         if self._writev is not None:
-            block = encode_block_parts(
-                data, codec, allow_stored_fallback=self._allow_stored_fallback
-            )
+            block = encode_block_parts(data, codec)
             self._writev((block.header_bytes, block.payload))
         else:
-            block = encode_block(
-                data, codec, allow_stored_fallback=self._allow_stored_fallback
-            )
+            block = encode_block(data, codec)
             self._sink.write(block.frame)
         self.blocks_written += 1
         self.bytes_in += block.header.uncompressed_len

@@ -234,7 +234,6 @@ class CodecThreadPool:
         data: BlockData,
         codec: Codec,
         *,
-        allow_stored_fallback: bool = True,
         on_done: Callable[
             [Optional[BaseException], Optional[BlockHeader], Optional[BlockData]], None
         ],
@@ -252,7 +251,7 @@ class CodecThreadPool:
             _run_on_caller(
                 self,
                 "c",
-                lambda: _compress_payload(data, codec, allow_stored_fallback),
+                lambda: _compress_payload(data, codec),
                 lambda: codec.name,
                 on_done=on_done,
                 span=span,
@@ -266,13 +265,9 @@ class CodecThreadPool:
                     exc = self._dropped()
                 elif span is not None and BUS.active:
                     with spans.span(span, worker=index, codec=codec.name):
-                        header, payload = _compress_payload(
-                            data, codec, allow_stored_fallback
-                        )
+                        header, payload = _compress_payload(data, codec)
                 else:
-                    header, payload = _compress_payload(
-                        data, codec, allow_stored_fallback
-                    )
+                    header, payload = _compress_payload(data, codec)
             except BaseException as err:  # noqa: BLE001 - delivered to on_done
                 exc = self._failed(err)
             _run_callback(self, on_done, exc, header, payload)
@@ -453,7 +448,6 @@ class ParallelBlockEncoder:
         *,
         workers: int = 0,
         max_in_flight: Optional[int] = None,
-        allow_stored_fallback: bool = True,
         source: str = "pipeline",
         pool: Optional[BufferPool] = None,
         codec_pool: Optional[CodecPool] = None,
@@ -473,7 +467,6 @@ class ParallelBlockEncoder:
         self._sink_writev = getattr(sink, "writev", None)
         self._vectored = self._sink_writev is not None
         self._pool = pool if not self._vectored else None
-        self._allow_stored_fallback = allow_stored_fallback
         self._source = source
         self._max_in_flight = max_in_flight
         self._cond = threading.Condition()
@@ -594,7 +587,6 @@ class ParallelBlockEncoder:
         self._codec_pool.submit_compress(
             data,
             codec,
-            allow_stored_fallback=self._allow_stored_fallback,
             span="pipeline.compress",
             on_done=partial(self._done, seq, data),
         )
@@ -681,7 +673,6 @@ def make_block_encoder(
     sink: BinaryIO,
     *,
     workers: int = 1,
-    allow_stored_fallback: bool = True,
     max_in_flight: Optional[int] = None,
     source: str = "pipeline",
     pool: Optional[BufferPool] = None,
@@ -710,14 +701,13 @@ def make_block_encoder(
             raise ValueError("workers must be >= 1")
         backend = resolve_backend(backend, source=source)
         if workers == 1 and backend == "thread":
-            return BlockWriter(sink, allow_stored_fallback=allow_stored_fallback)
+            return BlockWriter(sink)
     elif workers == 1:
         workers = 0  # the shared pool's size sets the default window
     return ParallelBlockEncoder(
         sink,
         workers=workers,
         max_in_flight=max_in_flight,
-        allow_stored_fallback=allow_stored_fallback,
         source=source,
         pool=pool,
         codec_pool=codec_pool,

@@ -451,9 +451,9 @@ def _worker_main(index: int, shm_name: Optional[str], slab_size: int, jobs, conn
                 else:
                     data = inline
                 if kind == "c":
-                    codec_id, codec_blob, allow_fallback = job[5:]
+                    codec_id, codec_blob = job[5:]
                     codec = _resolve_codec(codec_id, codec_blob, codec_cache)
-                    header, payload = _compress_payload(data, codec, allow_fallback)
+                    header, payload = _compress_payload(data, codec)
                     ht = (
                         header.codec_id,
                         header.flags,
@@ -619,7 +619,6 @@ class CodecProcessPool:
         data: BlockData,
         codec,
         *,
-        allow_stored_fallback: bool = True,
         on_done: Callable[
             [Optional[BaseException], Optional[BlockHeader], Optional[BlockData]], None
         ],
@@ -637,7 +636,7 @@ class CodecProcessPool:
             _run_on_caller(
                 self,
                 "c",
-                lambda: _compress_payload(data, codec, allow_stored_fallback),
+                lambda: _compress_payload(data, codec),
                 lambda: codec.name,
                 on_done=on_done,
                 span=span,
@@ -650,10 +649,7 @@ class CodecProcessPool:
             codec_blob = pickle.dumps(codec)
         slab, slab_index, nbytes, inline = self._stage_payload(data)
         token = self._add_job(_Job("c", slab, on_done))
-        self._jobs.put(
-            ("c", token, slab_index, nbytes, inline, codec_id, codec_blob,
-             allow_stored_fallback)
-        )
+        self._jobs.put(("c", token, slab_index, nbytes, inline, codec_id, codec_blob))
 
     def submit_decompress(
         self,

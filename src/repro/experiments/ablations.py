@@ -24,7 +24,7 @@ from ..core.decision import DecisionModel
 from ..data.corpus import Compressibility
 from ..schemes.base import CompressionScheme, EpochObservation
 from ..schemes.resource_based import ResourceBasedScheme, TrainedLevel
-from ..sim.calibration import CODEC_MODEL, LINK_APP_CAPACITY
+from ..sim.calibration import CODEC_MODEL
 from ..sim.scenario import (
     ScenarioConfig,
     make_dynamic_factory,
@@ -268,39 +268,6 @@ def _training_table(cls: Compressibility = Compressibility.HIGH) -> List[Trained
         pt = CODEC_MODEL[(name, cls)]
         table.append(TrainedLevel(comp_speed=pt.comp_speed, ratio=pt.ratio))
     return table
-
-
-class HonestMetricsScheme(CompressionScheme):
-    """Resource-based scheme fed *host-truth* metrics.
-
-    Stands in for what the scheme would do on an unvirtualized host:
-    the CPU idle fraction it sees accounts for the true hidden I/O cost
-    and the bandwidth input is the un-noised link share.
-    """
-
-    name = "RESOURCE-HONEST"
-
-    def __init__(self, n_levels: int) -> None:
-        super().__init__(n_levels)
-        self.inner = ResourceBasedScheme(_training_table())
-
-    @property
-    def current_level(self) -> int:
-        return self.inner.current_level
-
-    def on_epoch(self, obs: EpochObservation) -> int:
-        # Reconstruct honest inputs: the true bandwidth share rather
-        # than the fluctuating displayed estimate, and a CPU figure that
-        # includes the hidden virtualization overhead.
-        honest = EpochObservation(
-            now=obs.now,
-            epoch_seconds=obs.epoch_seconds,
-            app_rate=obs.app_rate,
-            displayed_cpu_util=min(100.0, obs.displayed_cpu_util),
-            displayed_bandwidth=LINK_APP_CAPACITY,
-            queue_slope=obs.queue_slope,
-        )
-        return self.inner.on_epoch(honest)
 
 
 def run_metrics(scale: float = 0.1, seed: int = 74, repeats: int = 2) -> ExperimentResult:

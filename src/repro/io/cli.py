@@ -119,13 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["thread", "process"],
         default="thread",
         help="codec pool backend: 'process' shards flows across "
-        "single-worker codec processes (see --shards)",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="process-backend codec shards (0 = one per codec worker)",
+        "single-worker codec processes, one per codec worker",
     )
     serve.add_argument(
         "--level",
@@ -194,7 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_serve_config(path: str) -> dict:
-    """Read a ``--config`` file: a JSON object of reloadable keys."""
+    """Read a ``--config`` file: a JSON object of reloadable keys.
+
+    Only the key names are checked here; the values go through
+    ``ServeConfig``'s validator, at startup and on every reload.
+    """
     from ..serve import RELOADABLE_KEYS
 
     with open(path, "r", encoding="utf-8") as fp:
@@ -256,25 +254,29 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from ..serve import AdminServer, ServeConfig, TransferServer
 
-    # A --config file wins over the matching CLI flags at startup, so
-    # the file is the single source of truth that SIGHUP re-reads.
-    overrides = _load_serve_config(args.config) if args.config else {}
-    config = ServeConfig(
+    settings = dict(
         host=args.host,
         port=args.port,
-        max_flows=overrides.get("max_flows", args.max_flows),
+        max_flows=args.max_flows,
         backlog=args.backlog,
         codec_workers=args.workers,
         codec_backend=args.backend,
-        codec_shards=args.shards,
-        max_queued_jobs=overrides.get("max_queued_jobs", 0),
-        level=overrides.get("level", args.level),
+        level=args.level,
         epoch_seconds=args.epoch_seconds,
-        idle_timeout=overrides.get("idle_timeout", args.idle_timeout),
-        policy=overrides.get("policy", args.policy),
-        control_interval=overrides.get("control_interval", args.control_interval),
+        idle_timeout=args.idle_timeout,
+        policy=args.policy,
+        control_interval=args.control_interval,
         trace_dir=args.trace_dir,
     )
+    try:
+        # A --config file wins over the matching CLI flags at startup,
+        # so the file is the single source of truth that SIGHUP re-reads.
+        if args.config:
+            settings.update(_load_serve_config(args.config))
+        config = ServeConfig(**settings)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     server = TransferServer(config)
 
     def _drain(signum, frame):  # pragma: no cover - signal path

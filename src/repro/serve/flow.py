@@ -22,8 +22,8 @@ idempotent and drives every transition.
 
 Identity frames (codec id 0: level NO and the stored fallback) never
 become pool jobs.  ``pump`` copies each one, header and payload, into
-one :class:`~repro.core.buffers.BufferPool` slab and checks it on the
-loop thread with the same ``decode_payload`` a pool would run; the
+one buffer of exactly its own size and checks it on the loop thread
+with the same ``decode_payload`` a pool would run; the
 plaintext CRC folds in the verified frame CRC
 (:func:`~repro.codecs.block.crc32_combine`) instead of reading the bytes
 again; and when the echo level is NO the received frame, its header
@@ -42,10 +42,12 @@ CRC and (in echo mode) the response stream are deterministic
 regardless of scheduling.  Backpressure is two-sided and per flow: the
 flow stops reading its socket while its one block window —
 ``decode_in_flight + encode_in_flight`` against ``max_inflight_blocks``
-— is full, or the pending write queue exceeds the byte cap, which lets
-TCP push back on a client outrunning the shared codec pool without
-stalling anybody else's flow.  A job the pool refuses (closed pool,
-crashed worker) fails only its own flow.
+— is full, or the pending write queue holds :data:`MAX_WRITE_BUFFER`
+bytes, which lets TCP push back on a client outrunning the shared
+codec pool without stalling anybody else's flow.  Nothing queued to
+send holds a pool slab: every buffer in the write queue is a plain
+allocation of its frame's exact size.  A job the pool refuses (closed
+pool, crashed worker) fails only its own flow.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from collections import deque
 from dataclasses import replace
 from enum import Enum
 from functools import partial
-from typing import Callable, Deque, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Deque, Dict, NamedTuple, Optional, Tuple, Union
 
 from ..codecs.base import Codec
 from ..codecs.block import (
@@ -66,7 +68,6 @@ from ..codecs.block import (
     HEADER_SIZE,
     MAGIC,
     BlockHeader,
-    EncodedBlock,
     _header_fields,
     crc32_combine,
     decode_header,
@@ -75,7 +76,7 @@ from ..codecs.block import (
 )
 from ..codecs.errors import CodecError
 from ..codecs.registry import DEFAULT_REGISTRY
-from ..core.buffers import BufferPool, PooledBuffer
+from ..core.buffers import BufferPool
 from ..core.controller import AdaptiveController
 from ..core.levels import CompressionLevelTable
 from ..core.pipeline import CodecPool
@@ -95,8 +96,21 @@ __all__ = ["Flow", "FlowState"]
 #: Decoded application bytes between per-flow TransferProgress events.
 PROGRESS_EVERY_BYTES = 8 * 1024 * 1024
 
-#: Upper bound a client may request as the echo re-encode block size.
+#: Largest hello ``block_size`` a client may send.  The value is range
+#: checked and has no effect: the echo is one frame per inbound frame.
 MAX_CLIENT_BLOCK_SIZE = 4 * 1024 * 1024
+
+#: Default per-flow window: decodes plus echo re-encodes outstanding.
+MAX_INFLIGHT_BLOCKS = 4
+
+#: Queued bytes at which a flow stops reading its socket.
+MAX_WRITE_BUFFER = 1 << 20
+
+#: Most bytes one write turn sends: the loop's fairness unit.
+WRITE_QUANTUM = 256 * 1024
+
+#: Most bytes one :meth:`Flow.handle_read` takes off the socket.
+RECV_CHUNK = 256 * 1024
 
 #: Most buffers one ``sendmsg`` may carry on this platform.
 try:
@@ -118,13 +132,14 @@ class _Received(NamedTuple):
     """A verified identity frame, held as received until drained."""
 
     header: BlockHeader
-    #: The whole frame, header and payload, in one pool slab.
-    frame: PooledBuffer
+    #: The whole frame, header and payload, in a buffer of its own size.
+    frame: bytearray
     #: The decoded payload (``decode_payload``'s copy).
     data: bytes
 
-    def release(self) -> None:
-        self.frame.release()
+
+#: A frame or control message queued to send.
+_Buffer = Union[bytes, bytearray]
 
 
 class Flow:
@@ -141,12 +156,8 @@ class Flow:
         buffer_pool: BufferPool,
         notify: Callable[["Flow"], None],
         default_level: Optional[int] = None,
-        default_block_size: int = 128 * 1024,
         epoch_seconds: float = 0.25,
-        alpha: float = 0.2,
-        max_inflight_blocks: int = 4,
-        max_write_buffer: int = 1 << 20,
-        max_block_len: Optional[int] = None,
+        max_inflight_blocks: int = MAX_INFLIGHT_BLOCKS,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.flow_id = flow_id
@@ -160,13 +171,9 @@ class Flow:
         self._buffer_pool = buffer_pool
         self._notify = notify
         self._default_level = default_level
-        self._default_block_size = default_block_size
         self._epoch_seconds = epoch_seconds
-        self._alpha = alpha
         self._max_inflight = max_inflight_blocks
         self._base_max_inflight = max_inflight_blocks
-        self._max_write_buffer = max_write_buffer
-        self._max_block_len = max_block_len
         self._clock = clock
 
         self._lock = threading.Lock()
@@ -177,12 +184,12 @@ class Flow:
         self._decode_results: Dict[int, object] = {}
         self._decode_submitted = 0
         self._decode_emitted = 0
-        #: seq -> EncodedBlock | BaseException (echo re-encode).
+        #: seq -> frame | BaseException (echo re-encode or send-back).
         self._encode_results: Dict[int, object] = {}
         self._encode_submitted = 0
         self._encode_emitted = 0
-        #: (buffer, releasable-owner-or-None) pairs awaiting send.
-        self._out: Deque[Tuple[object, Optional[object]]] = deque()
+        #: Buffers awaiting send, in order.
+        self._out: Deque[_Buffer] = deque()
         self._out_offset = 0
         self._out_bytes = 0
         self._trailer_queued = False
@@ -191,7 +198,6 @@ class Flow:
         # the hello names the mode (see _apply_hello).
         self.controller: Optional[AdaptiveController] = None
         self._echo_static_level: Optional[int] = None
-        self._echo_block_size = default_block_size
         #: True once the hello carried an explicit ``level`` parameter;
         #: such flows keep the client's choice across config reloads.
         self._level_from_client = False
@@ -244,7 +250,7 @@ class Flow:
     def wants_read(self) -> bool:
         if self._eof or self.state not in (FlowState.HANDSHAKING, FlowState.STREAMING):
             return False
-        return self._window_open and self._out_bytes < self._max_write_buffer
+        return self._window_open and self._out_bytes < MAX_WRITE_BUFFER
 
     @property
     def wants_write(self) -> bool:
@@ -385,7 +391,7 @@ class Flow:
 
     # -- socket side (loop thread) -----------------------------------
 
-    def handle_read(self, chunk_bytes: int = 256 * 1024) -> None:
+    def handle_read(self) -> None:
         """Pull available bytes off the socket into the parse buffer.
 
         Parsing happens in :meth:`pump` (which the loop always calls
@@ -396,7 +402,7 @@ class Flow:
         if self._eof or self.state in (FlowState.DRAINING, FlowState.CLOSED):
             return
         try:
-            data = self.sock.recv(chunk_bytes)
+            data = self.sock.recv(RECV_CHUNK)
         except (BlockingIOError, InterruptedError):
             return
         except OSError as exc:
@@ -411,7 +417,7 @@ class Flow:
         self.wire_bytes_in += len(data)
         self._rx.extend(data)
 
-    def handle_write(self, quantum: int = 256 * 1024) -> int:
+    def handle_write(self, quantum: int = WRITE_QUANTUM) -> int:
         """Send up to ``quantum`` queued bytes in one ``sendmsg``.
 
         Returns the bytes sent.  The quantum is the fairness unit: the
@@ -419,12 +425,12 @@ class Flow:
         iteration, so a fat flow with a fast consumer cannot monopolise
         the loop thread.  The turn gathers queued buffers, at most
         :data:`IOV_MAX` of them, from the first unsent byte; each
-        buffer's owner is released once its last byte is sent.
+        buffer leaves the queue once its last byte is sent.
         """
         parts = []
         room = quantum
         skip = self._out_offset
-        for buf, _ in self._out:
+        for buf in self._out:
             view = memoryview(buf)[skip:]
             skip = 0
             if view.nbytes > room:
@@ -444,16 +450,13 @@ class Flow:
             return 0
         left = sent
         while self._out:
-            buf, owner = self._out[0]
-            rest = memoryview(buf).nbytes - self._out_offset
+            rest = len(self._out[0]) - self._out_offset
             if left < rest:
                 self._out_offset += left
                 break
             left -= rest
             self._out.popleft()
             self._out_offset = 0
-            if owner is not None:
-                owner.release()
         if sent:
             self.bytes_out += sent
             self.last_activity = self._clock()
@@ -474,10 +477,10 @@ class Flow:
 
     def _apply_hello(self, mode: str, params: dict) -> None:
         self.mode = mode
-        block_size = params.get("block_size", self._default_block_size)
+        # Checked, then unused: each inbound frame echoes as one frame.
+        block_size = params.get("block_size", MAX_CLIENT_BLOCK_SIZE)
         if not isinstance(block_size, int) or not 1 <= block_size <= MAX_CLIENT_BLOCK_SIZE:
             raise ProtocolError(f"bad block_size {block_size!r}")
-        self._echo_block_size = block_size
         level = params.get("level", None)
         self._level_from_client = level is not None
         if level is None:
@@ -497,7 +500,6 @@ class Flow:
             self.controller = AdaptiveController(
                 n_levels=len(self._levels),
                 epoch_seconds=self._epoch_seconds,
-                alpha=self._alpha,
                 clock_start=self._clock(),
             )
 
@@ -518,7 +520,7 @@ class Flow:
                 if have and not MAGIC.startswith(bytes(self._rx[: len(MAGIC)])):
                     raise ProtocolError(f"bad block magic {bytes(self._rx[:2])!r}")
                 return
-            header = decode_header(self._rx, max_len=self._max_block_len)
+            header = decode_header(self._rx)
             need = HEADER_SIZE + header.compressed_len
             if have < need:
                 return
@@ -526,9 +528,9 @@ class Flow:
             self._decode_submitted += 1
             if header.codec_id == 0:
                 # An identity frame never becomes a pool job: the whole
-                # frame is copied out once and checked right here.
-                frame = self._buffer_pool.acquire(need)
-                frame.view[:] = memoryview(self._rx)[:need]
+                # frame is copied out once, at its own size, and checked
+                # right here.
+                frame = self._rx[:need]
                 del self._rx[:need]
                 result = self._check_identity(header, frame)
                 with self._lock:
@@ -551,14 +553,13 @@ class Flow:
             except BaseException as exc:  # noqa: BLE001 - fails this flow only
                 self._complete(self._decode_results, seq, exc)
 
-    def _check_identity(self, header: BlockHeader, frame: PooledBuffer) -> object:
+    def _check_identity(self, header: BlockHeader, frame: bytearray) -> object:
         """CRC- and length-check one identity frame: ``_Received`` or the error.
 
         The same ``decode_payload`` a pool's identity job runs, under
-        the same ``serve.decode`` span; a frame that fails goes back to
-        the buffer pool at once.
+        the same ``serve.decode`` span.
         """
-        payload = frame.view[HEADER_SIZE:]
+        payload = memoryview(frame)[HEADER_SIZE:]
         try:
             if BUS.active:
                 name = self._registry.get(0).name
@@ -567,7 +568,6 @@ class Flow:
             else:
                 data = decode_payload(header, payload, self._registry)
         except Exception as exc:  # noqa: BLE001 - fails this flow only
-            frame.release()
             return exc
         return _Received(header, frame, data)
 
@@ -580,10 +580,7 @@ class Flow:
         self._complete(self._decode_results, seq, exc if exc is not None else data)
 
     def _encoded(self, seq: int, exc, header, payload) -> None:
-        if exc is None:
-            result = frame_payload(header, payload, pool=self._buffer_pool)
-        else:
-            result = exc
+        result = exc if exc is not None else frame_payload(header, payload).frame
         self._complete(self._encode_results, seq, result)
 
     def _complete(self, results: Dict[int, object], seq: int, result: object) -> None:
@@ -698,8 +695,6 @@ class Flow:
                     self._send_back(received)
                     continue
                 self._submit_echo(data, codec)
-            if received is not None:
-                received.release()
 
     def _echo_codec(self) -> Codec:
         if self._echo_static_level is not None:
@@ -719,14 +714,11 @@ class Flow:
         header = received.header
         if header.flags:
             header = replace(header, flags=0)
-        view = received.frame.view
-        HEADER.pack_into(view, 0, *_header_fields(header))
+        HEADER.pack_into(received.frame, 0, *_header_fields(header))
         seq = self._encode_submitted
         self._encode_submitted += 1
         with self._lock:
-            self._encode_results[seq] = EncodedBlock(
-                frame=view, header=header, buf=received.frame
-            )
+            self._encode_results[seq] = received.frame
 
     def _submit_echo(self, data: bytes, codec: Codec) -> None:
         seq = self._encode_submitted
@@ -751,9 +743,8 @@ class Flow:
             if isinstance(result, BaseException):
                 self.fail(f"encode-error: {result!r}")
                 return
-            block = result
             self.blocks_out += 1
-            self._queue(block.frame, owner=block)
+            self._queue(result)
 
     def _trailer_body(self) -> dict:
         return {
@@ -775,30 +766,24 @@ class Flow:
         if self.failure is None:
             self.failure = reason
         self.state = FlowState.CLOSED
-        while self._out:
-            _, owner = self._out.popleft()
-            if owner is not None:
-                owner.release()
+        self._out.clear()
         self._out_offset = 0
         self._out_bytes = 0
         self._discard_results()
 
     def _discard_results(self) -> None:
-        """Release pool-backed results that will never be emitted."""
+        """Drop results that will never be emitted."""
         with self._lock:
             decode_results, self._decode_results = self._decode_results, {}
             encode_results, self._encode_results = self._encode_results, {}
         self._decode_emitted += len(decode_results)
         self._encode_emitted += len(encode_results)
-        for result in (*decode_results.values(), *encode_results.values()):
-            if hasattr(result, "release"):
-                result.release()
 
     # -- helpers -----------------------------------------------------
 
-    def _queue(self, buf, owner: Optional[object] = None) -> None:
-        self._out.append((buf, owner))
-        self._out_bytes += memoryview(buf).nbytes
+    def _queue(self, buf: _Buffer) -> None:
+        self._out.append(buf)
+        self._out_bytes += len(buf)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -5,9 +5,11 @@ A served flow speaks three frame kinds on one TCP connection:
 * **Hello** (client → server, once): fixed 8-byte header followed by a
   small JSON parameter blob — ``<4sBBH`` packing magic ``b"RSRV"``,
   protocol version, mode id and the JSON length.  Parameters configure
-  the *server* side of the flow (the echo re-encode level and block
-  size); the client's own compression choices never need announcing
-  because every block frame names its codec.
+  the *server* side of the flow: ``level``, the echo re-encode level.
+  A ``block_size`` is range checked and has no effect, since the server
+  echoes each inbound frame as one frame.  The client's own compression
+  choices never need announcing because every block frame names its
+  codec.
 * **Control** (server → client): ``<4sI`` packing magic ``b"RCTL"``
   and a JSON body length.  Sent twice per flow: the admission ack
   right after the hello (``{"ok": true, "flow_id": n}`` or ``{"ok":

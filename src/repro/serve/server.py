@@ -11,14 +11,14 @@ what lets one daemon hold the paper's "many concurrent transfers on one
 shared bottleneck" scenario without thread-per-transfer explosion.
 
 ``codec_backend="process"`` swaps the shared thread pool for per-core
-stream sharding: ``codec_shards`` single-worker
-:class:`~repro.core.procpool.CodecProcessPool` shards, with flows
-assigned ``flow_id % shards``.  Codec bytes then cross to the worker
-processes via shared-memory slabs and the GIL stops serialising
-concurrent flows' compression.  Both pools take the same typed codec
-calls, so a flow never knows which kind it was given.  Where shared
-memory is unavailable the daemon degrades to the thread pool with a
-one-time warning.
+stream sharding: one single-worker
+:class:`~repro.core.procpool.CodecProcessPool` shard per codec worker,
+with flows assigned ``flow_id % shards``.  Codec bytes then cross to
+the worker processes via shared-memory slabs and the GIL stops
+serialising concurrent flows' compression.  Both pools take the same
+typed codec calls, so a flow never knows which kind it was given.
+Where shared memory is unavailable the daemon degrades to the thread
+pool with a one-time warning.
 
 Responsibilities split cleanly:
 
@@ -50,13 +50,13 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..control import Assignment, FleetController, make_policy
 from ..core.buffers import BufferPool
-from ..core.levels import CompressionLevelTable, default_level_table
+from ..core.levels import PAPER_LEVEL_NAMES, default_level_table
 from ..core.pipeline import CodecPool, CodecThreadPool
 from ..core.procpool import (
     CodecProcessPool,
@@ -76,7 +76,7 @@ from ..telemetry.events import (
     PipelineQueueDepth,
     ServeInternalError,
 )
-from .flow import Flow, FlowState
+from .flow import WRITE_QUANTUM, Flow, FlowState
 from .protocol import encode_control
 
 __all__ = ["RELOADABLE_KEYS", "ServeConfig", "TransferServer"]
@@ -93,22 +93,32 @@ RELOADABLE_KEYS = (
     "max_queued_jobs",
 )
 
+#: Longest the loop blocks in ``select``: how late it notices a drain
+#: deadline, an idle timeout or a due rate window.
+POLL_INTERVAL = 0.2
+
 
 def _default_workers() -> int:
     return max(2, min(4, os.cpu_count() or 2))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServeConfig:
-    """Tunables of a :class:`TransferServer`.
+    """Settings of a :class:`TransferServer`, checked when built.
+
+    This is the daemon's one validator.  CLI flags and a ``--config``
+    file build a ``ServeConfig`` at startup, and a reload
+    (``POST /reload``, ``SIGHUP``) is ``dataclasses.replace(config,
+    **changes)``, so every source of settings accepts exactly the same
+    values; a bad one raises ``ValueError`` before it takes effect.
+    Integer fields must be ``int`` (not ``bool``); the float fields are
+    normalized to ``float`` and may not be NaN.
 
     ``max_flows`` and ``max_queued_jobs`` are the two admission knobs:
     the first caps concurrent connections outright, the second rejects
     new flows while the *shared* codec queue is already deeper than the
-    given bound (0 disables that check).  The per-flow knobs
-    (``max_inflight_blocks_per_flow``, ``max_write_buffer``,
-    ``write_quantum``) bound how much of the shared pool and of the
-    loop's attention any single flow can hold.
+    given bound (0 disables that check).  The per-flow bounds are
+    constants of :mod:`repro.serve.flow`.
     """
 
     host: str = "127.0.0.1"
@@ -116,37 +126,57 @@ class ServeConfig:
     max_flows: int = 64
     backlog: int = DEFAULT_BACKLOG
     codec_workers: int = 0  # 0 → min(4, cpu count), at least 2
-    codec_backend: str = "thread"  # "process" shards flows across worker processes
-    codec_shards: int = 0  # process backend: shard count (0 → codec_workers)
+    codec_backend: str = "thread"  # "process": a one-worker shard per codec worker
     max_queued_jobs: int = 0  # 0 → no queue-depth admission check
-    max_inflight_blocks_per_flow: int = 4
-    max_write_buffer: int = 1 << 20
-    write_quantum: int = 256 * 1024
-    recv_chunk: int = 256 * 1024
     idle_timeout: float = 0.0  # seconds; 0 → never time a flow out
     level: Optional[str] = None  # echo re-encode level name; None → adaptive
-    block_size: int = 128 * 1024
-    epoch_seconds: float = 0.25
-    alpha: float = 0.2
-    max_block_len: Optional[int] = None
-    poll_interval: float = 0.2
+    epoch_seconds: float = 0.25  # per-flow adaptive re-decision interval
     policy: Optional[str] = None  # fleet allocation policy; None → per-flow only
     control_interval: float = 1.0  # seconds between fleet policy passes
     trace_dir: Optional[str] = None  # write per-flow replay traces here
 
     def __post_init__(self) -> None:
+        integers = ("port", "max_flows", "backlog", "codec_workers", "max_queued_jobs")
+        for name in integers:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("idle_timeout", "epoch_seconds", "control_interval"):
+            value = getattr(self, name)
+            try:
+                number = float(value)
+                if number != number:  # NaN passes every bound check below
+                    raise ValueError
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a number, got {value!r}") from None
+            object.__setattr__(self, name, number)
         if self.max_flows < 1:
             raise ValueError("max_flows must be >= 1")
-        if self.max_inflight_blocks_per_flow < 1:
-            raise ValueError("max_inflight_blocks_per_flow must be >= 1")
-        if self.write_quantum < 1 or self.max_write_buffer < 1:
-            raise ValueError("write_quantum and max_write_buffer must be >= 1")
+        if self.max_queued_jobs < 0:
+            raise ValueError("max_queued_jobs must be >= 0")
+        if self.codec_workers < 0:
+            raise ValueError("codec_workers must be >= 0")
         if self.codec_backend not in ("thread", "process"):
             raise ValueError(f"unknown codec_backend {self.codec_backend!r}")
-        if self.codec_shards < 0:
-            raise ValueError("codec_shards must be >= 0")
+        if self.idle_timeout < 0:
+            raise ValueError("idle_timeout must be >= 0")
+        if self.epoch_seconds <= 0:
+            raise ValueError("epoch_seconds must be positive")
         if self.control_interval <= 0:
             raise ValueError("control_interval must be positive")
+        if self.level not in (None, "adaptive"):
+            if not isinstance(self.level, str):
+                raise ValueError(f"level must be a name or None, got {self.level!r}")
+            # The names of default_level_table(), the server's one table.
+            if self.level not in PAPER_LEVEL_NAMES:
+                raise ValueError(f"unknown level {self.level!r}")
+        if self.policy is not None:
+            if not isinstance(self.policy, str):
+                raise ValueError(f"policy must be a name or None, got {self.policy!r}")
+            try:
+                make_policy(self.policy)
+            except (KeyError, ValueError):
+                raise ValueError(f"unknown policy {self.policy!r}") from None
 
 
 class TransferServer:
@@ -170,23 +200,21 @@ class TransferServer:
         self,
         config: Optional[ServeConfig] = None,
         *,
-        levels: Optional[CompressionLevelTable] = None,
         codec_pool: Optional[CodecThreadPool] = None,
-        buffer_pool: Optional[BufferPool] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.config = config or ServeConfig()
-        self._levels = levels or default_level_table()
+        self._levels = default_level_table()
         self._clock = clock
         workers = self.config.codec_workers or _default_workers()
-        self._buffer_pool = buffer_pool or BufferPool()
+        self._buffer_pool = BufferPool()
 
         # Codec pools: one shared thread pool (default), or — with
-        # ``codec_backend="process"`` — N single-worker process-pool
-        # shards that flows are assigned to round-robin, so concurrent
-        # flows' codec work runs on genuinely separate cores.  An
-        # explicitly injected ``codec_pool`` always means threads, and
-        # is the caller's to close.
+        # ``codec_backend="process"`` — one single-worker process-pool
+        # shard per codec worker, flows assigned round-robin, so
+        # concurrent flows' codec work runs on genuinely separate cores.
+        # An explicitly injected ``codec_pool`` always means threads,
+        # and is the caller's to close.
         backend = self.config.codec_backend
         if codec_pool is not None:
             backend = "thread"
@@ -195,9 +223,8 @@ class TransferServer:
         self._owns_pools = codec_pool is None
         self._codec_pools: List[CodecPool] = []
         if backend == "process":
-            shards = self.config.codec_shards or workers
             try:
-                for i in range(shards):
+                for i in range(workers):
                     self._codec_pools.append(
                         CodecProcessPool(1, name=f"repro-serve-codec-p{i}")
                     )
@@ -215,26 +242,7 @@ class TransferServer:
                 codec_pool or CodecThreadPool(workers, name="repro-serve-codec")
             ]
         self.codec_backend = backend
-        default_level = (
-            None if self.config.level in (None, "adaptive")
-            else self._levels.index_of(self.config.level)
-        )
-        self._default_level = default_level
-
-        # Optional fleet control plane.  The server feeds the controller
-        # *directly* (flow_opened / observe_flow / flow_closed) rather
-        # than attaching it to the telemetry bus, so running a policy
-        # neither requires telemetry nor double-ingests its own events
-        # when telemetry is on; the actuator runs on the loop thread.
-        self._controller: Optional[FleetController] = None
-        if self.config.policy is not None:
-            self._controller = FleetController(
-                self.config.policy,
-                n_levels=len(self._levels),
-                actuator=self._apply_assignment,
-                control_interval=self.config.control_interval,
-                source=f"{self.TELEMETRY_SOURCE}-control",
-            )
+        self._controller = self._make_controller()
 
         # Bind in the constructor so tests can read ``address`` (and
         # clients can connect; the backlog holds them) before the loop
@@ -320,7 +328,7 @@ class TransferServer:
 
     @property
     def buffer_pool(self) -> BufferPool:
-        """The one slab pool backing every flow's payload buffers."""
+        """The one slab pool staging every flow's compressed payloads."""
         return self._buffer_pool
 
     @property
@@ -331,6 +339,31 @@ class TransferServer:
     def controller(self) -> Optional[FleetController]:
         """The fleet controller, when a policy is configured."""
         return self._controller
+
+    @property
+    def _default_level(self) -> Optional[int]:
+        """The configured echo level's index (None: adaptive)."""
+        level = self.config.level
+        return None if level in (None, "adaptive") else self._levels.index_of(level)
+
+    def _make_controller(self) -> Optional[FleetController]:
+        """The fleet controller for the configured policy, if any.
+
+        The server feeds the controller *directly* (flow_opened /
+        observe_flow / flow_closed) rather than attaching it to the
+        telemetry bus, so running a policy neither requires telemetry
+        nor double-ingests its own events when telemetry is on; the
+        actuator runs on the loop thread.
+        """
+        if self.config.policy is None:
+            return None
+        return FleetController(
+            self.config.policy,
+            n_levels=len(self._levels),
+            actuator=self._apply_assignment,
+            control_interval=self.config.control_interval,
+            source=f"{self.TELEMETRY_SOURCE}-control",
+        )
 
     # -- lifecycle ---------------------------------------------------
 
@@ -393,7 +426,7 @@ class TransferServer:
                         break
                 touched: List[Flow] = []
                 writable: List[Flow] = []
-                for key, mask in sel.select(self.config.poll_interval):
+                for key, mask in sel.select(POLL_INTERVAL):
                     tag = key.data
                     if tag == "listener":
                         self._accept_ready()
@@ -402,16 +435,16 @@ class TransferServer:
                     else:
                         flow: Flow = tag
                         if mask & selectors.EVENT_READ:
-                            flow.handle_read(self.config.recv_chunk)
+                            flow.handle_read()
                             touched.append(flow)
                         if mask & selectors.EVENT_WRITE:
                             writable.append(flow)
                 # Round-robin write scheduling: rotate the service order
-                # every pass and cap each flow at write_quantum bytes.
+                # every pass and cap each flow at WRITE_QUANTUM bytes.
                 if writable:
                     self._rr = (self._rr + 1) % len(writable)
                     for flow in writable[self._rr :] + writable[: self._rr]:
-                        flow.handle_write(self.config.write_quantum)
+                        flow.handle_write(WRITE_QUANTUM)
                         touched.append(flow)
                 with self._pending_lock:
                     while self._pending:
@@ -459,12 +492,7 @@ class TransferServer:
                 buffer_pool=self._buffer_pool,
                 notify=self._notify,
                 default_level=self._default_level,
-                default_block_size=self.config.block_size,
                 epoch_seconds=self.config.epoch_seconds,
-                alpha=self.config.alpha,
-                max_inflight_blocks=self.config.max_inflight_blocks_per_flow,
-                max_write_buffer=self.config.max_write_buffer,
-                max_block_len=self.config.max_block_len,
                 clock=self._clock,
             )
             self._flows[flow_id] = flow
@@ -623,71 +651,29 @@ class TransferServer:
         if controller is not None:
             controller.on_tick(now)
 
-    # Historical name, still exercised directly by the control tests.
-    _control_pass = _rates_pass
-
     # -- hot config reload -------------------------------------------
 
     def request_reload(self, changes: Dict[str, object]) -> Dict[str, object]:
         """Validate and enqueue a config change set (any thread).
 
-        Accepts a subset of :data:`RELOADABLE_KEYS`; raises
+        Accepts a subset of :data:`RELOADABLE_KEYS` and checks it with
+        the validator startup runs, :class:`ServeConfig`; raises
         ``ValueError`` on unknown keys or bad values *before* anything
         is enqueued, so a failed reload leaves the daemon untouched.
         The loop thread applies the normalized change set on its next
         pass — live flows are retuned in place and no connection is
         dropped.  Returns the normalized change set.
         """
-        normalized: Dict[str, object] = {}
-        for key, value in changes.items():
+        for key in changes:
             if key not in RELOADABLE_KEYS:
                 raise ValueError(f"not a reloadable key: {key!r}")
-            normalized[key] = self._validate_reload(key, value)
+        config = replace(self.config, **changes)
+        normalized = {key: getattr(config, key) for key in changes}
         if normalized:
             with self._reload_lock:
                 self._reload_requests.append(normalized)
             self._wake()
         return normalized
-
-    def _validate_reload(self, key: str, value: object) -> object:
-        if key == "level":
-            if value is None or value == "adaptive":
-                return value
-            if not isinstance(value, str):
-                raise ValueError(f"level must be a name or None, got {value!r}")
-            try:
-                self._levels.index_of(value)
-            except (KeyError, ValueError):
-                raise ValueError(f"unknown level {value!r}") from None
-            return value
-        if key == "policy":
-            if value is None:
-                return None
-            if not isinstance(value, str):
-                raise ValueError(f"policy must be a name or None, got {value!r}")
-            try:
-                make_policy(value)
-            except (KeyError, ValueError):
-                raise ValueError(f"unknown policy {value!r}") from None
-            return value
-        if key == "control_interval":
-            interval = float(value)  # type: ignore[arg-type]
-            if interval <= 0:
-                raise ValueError("control_interval must be positive")
-            return interval
-        if key == "idle_timeout":
-            timeout = float(value)  # type: ignore[arg-type]
-            if timeout < 0:
-                raise ValueError("idle_timeout must be >= 0")
-            return timeout
-        # max_flows / max_queued_jobs
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-        if key == "max_flows" and value < 1:
-            raise ValueError("max_flows must be >= 1")
-        if key == "max_queued_jobs" and value < 0:
-            raise ValueError("max_queued_jobs must be >= 0")
-        return value
 
     def _apply_reloads(self) -> None:
         """Apply queued reload requests (loop thread only)."""
@@ -699,34 +685,26 @@ class TransferServer:
             self._apply_reload(changes)
 
     def _apply_reload(self, changes: Dict[str, object]) -> None:
-        changed: List[str] = []
+        """Swap in the reloaded config; act on the keys that changed.
+
+        ``idle_timeout``, ``max_flows`` and ``max_queued_jobs`` are read
+        from the config where they are used, so the swap applies them.
+        """
+        old, new = self.config, replace(self.config, **changes)
+        self.config = new
+        changed = tuple(k for k in RELOADABLE_KEYS if getattr(new, k) != getattr(old, k))
         flows_updated = 0
         live = [
             flow
             for flow in list(self._flows.values())
             if flow.flow_id in self._announced and flow.state is not FlowState.CLOSED
         ]
-        if "level" in changes and changes["level"] != self.config.level:
-            level = changes["level"]
-            self.config.level = level  # type: ignore[assignment]
-            self._default_level = (
-                None if level in (None, "adaptive")
-                else self._levels.index_of(level)  # type: ignore[arg-type]
-            )
-            changed.append("level")
+        if "level" in changed:
+            level = self._default_level
             for flow in live:
-                if flow.reload_level(self._default_level):
+                if flow.reload_level(level):
                     flows_updated += 1
-        if "control_interval" in changes and (
-            changes["control_interval"] != self.config.control_interval
-        ):
-            self.config.control_interval = changes["control_interval"]  # type: ignore[assignment]
-            if self._controller is not None:
-                self._controller.control_interval = self.config.control_interval
-            changed.append("control_interval")
-        if "policy" in changes and changes["policy"] != self.config.policy:
-            self.config.policy = changes["policy"]  # type: ignore[assignment]
-            changed.append("policy")
+        if "policy" in changed:
             if self._controller is not None:
                 # Return every managed flow to self-rule before the old
                 # control plane goes away.
@@ -734,35 +712,17 @@ class TransferServer:
                     if flow.apply_control(None, 1.0):
                         flows_updated += 1
                         self._update_interest(flow)
-            self._controller = None
-            if self.config.policy is not None:
-                self._controller = FleetController(
-                    self.config.policy,
-                    n_levels=len(self._levels),
-                    actuator=self._apply_assignment,
-                    control_interval=self.config.control_interval,
-                    source=f"{self.TELEMETRY_SOURCE}-control",
-                )
+            self._controller = self._make_controller()
+            if self._controller is not None:
                 now = self._clock()
                 for flow in live:
                     self._controller.flow_opened(flow.flow_id, now=now)
-        if "idle_timeout" in changes and (
-            changes["idle_timeout"] != self.config.idle_timeout
-        ):
-            self.config.idle_timeout = changes["idle_timeout"]  # type: ignore[assignment]
-            changed.append("idle_timeout")
-        if "max_flows" in changes and changes["max_flows"] != self.config.max_flows:
-            self.config.max_flows = changes["max_flows"]  # type: ignore[assignment]
-            changed.append("max_flows")
-        if "max_queued_jobs" in changes and (
-            changes["max_queued_jobs"] != self.config.max_queued_jobs
-        ):
-            self.config.max_queued_jobs = changes["max_queued_jobs"]  # type: ignore[assignment]
-            changed.append("max_queued_jobs")
+        elif "control_interval" in changed and self._controller is not None:
+            self._controller.control_interval = self.config.control_interval
 
         self.reloads += 1
         self.last_reload = {
-            "changed": tuple(changed),
+            "changed": changed,
             "flows_updated": flows_updated,
             "at": time.time(),
         }
@@ -777,7 +737,7 @@ class TransferServer:
                 ConfigReloaded(
                     ts=BUS.now(),
                     source=self.TELEMETRY_SOURCE,
-                    changed=tuple(changed),
+                    changed=changed,
                     flows_updated=flows_updated,
                     reloads=self.reloads,
                 )

@@ -75,14 +75,6 @@ class TestStoredFallback:
         assert block.frame_len == HEADER_SIZE + len(data)
         assert decode_block(block.frame) == data
 
-    def test_fallback_can_be_disabled(self):
-        import os
-
-        data = os.urandom(4096)
-        block = encode_block(data, LightZlibCodec(), allow_stored_fallback=False)
-        assert not block.header.stored_fallback
-        assert block.header.codec_id == LightZlibCodec().codec_id
-
     def test_null_codec_never_flagged(self):
         block = encode_block(b"abc", NullCodec())
         assert not block.header.stored_fallback

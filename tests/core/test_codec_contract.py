@@ -109,7 +109,7 @@ class _Outcome:
 def _compressed(corpus, level: int, copies: int = 1):
     """(plaintext, header, payload bytes) of one HIGH-class block."""
     data = corpus.payload(Compressibility.HIGH) * copies
-    header, payload = _compress_payload(data, LEVELS.codec(level), True)
+    header, payload = _compress_payload(data, LEVELS.codec(level))
     return data, header, bytes(payload)
 
 
@@ -261,7 +261,7 @@ class _Recorder(_Outcome):
 def _identity_frame(corpus):
     """(plaintext, header, payload bytes) of one codec-id-0 block."""
     data = corpus.payload(Compressibility.LOW)
-    header, payload = _compress_payload(data, NullCodec(), True)
+    header, payload = _compress_payload(data, NullCodec())
     return data, header, bytes(payload)
 
 

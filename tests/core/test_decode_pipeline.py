@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import threading
 import time
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.codecs import (
     HEADER_SIZE,
+    BlockHeader,
     BlockReader,
     BlockWriter,
     CodecRegistry,
@@ -21,6 +23,7 @@ from repro.codecs import (
     encode_block,
 )
 from repro.codecs.base import Codec, CodecInfo
+from repro.codecs.block import frame_payload
 from repro.core import StaticBlockWriter
 from repro.core.buffers import BufferPool
 from repro.core.pipeline import ParallelBlockDecoder, make_block_decoder
@@ -111,16 +114,24 @@ class GatedDecodeCodec(IdentityCodec):
 
 
 def custom_stream(blocks, codec):
-    """Frame ``blocks`` under ``codec``'s own id (fallback disabled) and
-    return (wire, registry that resolves that id)."""
-    sink = io.BytesIO()
-    writer = BlockWriter(sink, allow_stored_fallback=False)
+    """Frame ``blocks`` under ``codec``'s own id and return (wire,
+    registry that resolves that id).  The frames are built by hand: the
+    encoders would store a payload the codec does not shrink under id 0."""
+    wire = bytearray()
     for block in blocks:
-        writer.write_block(block, codec)
+        payload = codec.compress(block)
+        header = BlockHeader(
+            codec_id=codec.codec_id,
+            flags=0,
+            uncompressed_len=len(block),
+            compressed_len=len(payload),
+            crc32=zlib.crc32(payload),
+        )
+        wire += frame_payload(header, payload).frame
     registry = CodecRegistry()
     registry.register(NullCodec())
     registry.register(codec)
-    return sink.getvalue(), registry
+    return bytes(wire), registry
 
 
 class TestByteIdentity:

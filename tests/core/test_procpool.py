@@ -166,7 +166,7 @@ class TestCodecProcessPool:
     def test_compress_matches_serial(self, pool, corpus, level):
         data = corpus.payload(Compressibility.MODERATE)
         codec = LEVELS.codec(level)
-        expected_header, expected_payload = _compress_payload(data, codec, True)
+        expected_header, expected_payload = _compress_payload(data, codec)
         out = _compress_on(pool, data, codec)
         assert out["exc"] is None
         assert out["header"] == expected_header
@@ -175,18 +175,9 @@ class TestCodecProcessPool:
     def test_stored_fallback_matches_serial(self, pool):
         data = os.urandom(16384)  # never compresses below itself
         codec = LEVELS.codec(1)
-        expected_header, expected_payload = _compress_payload(data, codec, True)
+        expected_header, expected_payload = _compress_payload(data, codec)
         assert expected_header.flags & FLAG_STORED_FALLBACK  # test is live
         out = _compress_on(pool, data, codec)
-        assert out["exc"] is None
-        assert out["header"] == expected_header
-        assert out["payload"] == bytes(expected_payload)
-
-    def test_fallback_disabled_matches_serial(self, pool):
-        data = os.urandom(16384)
-        codec = LEVELS.codec(1)
-        expected_header, expected_payload = _compress_payload(data, codec, False)
-        out = _compress_on(pool, data, codec, allow_stored_fallback=False)
         assert out["exc"] is None
         assert out["header"] == expected_header
         assert out["payload"] == bytes(expected_payload)
@@ -194,7 +185,7 @@ class TestCodecProcessPool:
     @pytest.mark.parametrize("level", [0, 2, 3])
     def test_decompress_roundtrip(self, pool, corpus, level):
         data = corpus.payload(Compressibility.HIGH)
-        header, payload = _compress_payload(data, LEVELS.codec(level), True)
+        header, payload = _compress_payload(data, LEVELS.codec(level))
         out = _decompress_on(pool, header, bytes(payload), check_crc=True)
         assert out["exc"] is None
         assert out["data"] == data
@@ -202,7 +193,7 @@ class TestCodecProcessPool:
     def test_oversize_payload_goes_inline(self):
         data = os.urandom(8192)
         codec = LEVELS.codec(2)
-        expected_header, expected_payload = _compress_payload(data, codec, True)
+        expected_header, expected_payload = _compress_payload(data, codec)
         with CodecProcessPool(1, slab_size=1024, num_slabs=2) as small:
             out = _compress_on(small, data, codec)
             assert out["exc"] is None
@@ -213,7 +204,7 @@ class TestCodecProcessPool:
 
     def test_crc_mismatch_surfaces_as_codec_error(self, pool, corpus):
         data = corpus.payload(Compressibility.HIGH)
-        header, payload = _compress_payload(data, LEVELS.codec(2), True)
+        header, payload = _compress_payload(data, LEVELS.codec(2))
         corrupted = bytearray(payload)
         corrupted[len(corrupted) // 2] ^= 0xFF
         out = _decompress_on(pool, header, bytes(corrupted), check_crc=True)

@@ -300,3 +300,36 @@ class TestServeCommand:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10.0)
+
+    @pytest.mark.parametrize(
+        "flags,config,message",
+        [
+            (["--epoch-seconds", "0"], None, "epoch_seconds must be positive"),
+            (["--idle-timeout", "-1"], None, "idle_timeout must be >= 0"),
+            ([], {"max_queued_jobs": -1}, "max_queued_jobs must be >= 0"),
+        ],
+        ids=["epoch-seconds-0", "idle-timeout-negative", "config-max-queued-jobs"],
+    )
+    def test_bad_setting_exits_2_before_binding(self, tmp_path, flags, config, message):
+        """A bad flag or --config value is one stderr line and exit 2, no
+        traceback and no listener; the timeout turns a daemon that starts
+        anyway into a failure instead of a hang."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        if config is not None:
+            path = tmp_path / "serve.json"
+            path.write_text(json.dumps(config))
+            flags = [*flags, "--config", str(path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.io.cli", "serve", "--port", "0", *flags],
+            capture_output=True,
+            text=True,
+            timeout=30.0,
+            env=os.environ.copy(),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""  # no "serving on" banner: nothing bound
+        assert proc.stderr == f"error: {message}\n"

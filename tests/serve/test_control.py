@@ -3,7 +3,7 @@
 Covers the serve-side actuation path of :mod:`repro.control`: config
 validation, the per-flow ``apply_control`` knobs (level override,
 decode-window weight, in-band ``{"ctl": ...}`` announcement), the
-server's loop-less ``_control_pass`` → policy → actuator chain under a
+server's loop-less ``_rates_pass`` → policy → actuator chain under a
 fake clock, and one end-to-end run where a greedy policy pins a
 provably-incompressible live flow mid-stream.
 """
@@ -74,7 +74,7 @@ class TestFlowApplyControl:
         assert flow._max_inflight == 1  # 4 * 0.25
         # The change was announced in-band as a ctl control frame.
         assert len(flow._out) == 1
-        body, _ = parse_control(bytes(flow._out[0][0]))
+        body, _ = parse_control(bytes(flow._out[0]))
         assert body == {"ctl": "rebalance", "level": 0, "weight": 0.25}
 
     def test_idempotent_reapply_queues_nothing(self, flow):
@@ -145,7 +145,7 @@ class TestServerControlPass:
             now[0] = 1.0
             flow.app_bytes = 4_000_000
             flow.wire_bytes_in = 4_100_000
-            srv._control_pass()
+            srv._rates_pass()
 
             assert srv.controller.rebalances == 1
             asg = srv.controller.assignment_for(1)
@@ -153,7 +153,7 @@ class TestServerControlPass:
             assert flow.echo_level == 0
             assert flow._max_inflight == 1
             # Interval gate: an immediate second pass does not re-run.
-            srv._control_pass()
+            srv._rates_pass()
             assert srv.controller.rebalances == 1
         finally:
             srv._teardown(listener_open=True)

@@ -61,16 +61,14 @@ class DecodeNowHoldCompress:
             payload.release()  # the flow always hands over a pooled buffer
         on_done(None, data)
 
-    def submit_compress(
-        self, data, codec, *, allow_stored_fallback=True, on_done, span=None
-    ):
+    def submit_compress(self, data, codec, *, on_done, span=None):
         self.compress_submitted += 1
-        self.held.append((data, codec, allow_stored_fallback, on_done))
+        self.held.append((data, codec, on_done))
 
     def release(self, n: int = 1) -> None:
         for _ in range(min(n, len(self.held))):
-            data, codec, fallback, on_done = self.held.pop(0)
-            header, payload = _compress_payload(data, codec, fallback)
+            data, codec, on_done = self.held.pop(0)
+            header, payload = _compress_payload(data, codec)
             on_done(None, header, payload)
 
 
@@ -223,10 +221,18 @@ def _flip_payload_byte(frame: bytes) -> bytes:
     return bytes(damaged)
 
 
-def _drive(flow: Flow, peer, frames, *, level: str) -> bytes:
-    """Upload ``frames`` with echo level ``level``, run the flow until it
-    closes, then return every byte the peer received."""
-    peer.sendall(encode_hello(MODE_ECHO, {"level": level, "block_size": BLOCK}))
+def _hello(level: str, block_size) -> bytes:
+    """An echo hello at ``level``, with ``block_size`` unless it is None."""
+    params = {"level": level}
+    if block_size is not None:
+        params["block_size"] = block_size
+    return encode_hello(MODE_ECHO, params)
+
+
+def _drive(flow: Flow, peer, frames, *, level: str, block_size=BLOCK) -> bytes:
+    """Upload ``frames`` after ``_hello(level, block_size)``, run the flow
+    until it closes, then return every byte the peer received."""
+    peer.sendall(_hello(level, block_size))
     for frame in frames:
         peer.sendall(frame)
     peer.shutdown(socket.SHUT_WR)
@@ -271,9 +277,12 @@ def codec_pool():
     pool.close()
 
 
-def _assert_failed_cleanly(flow, codec_pool, buffers, wire, blocks, bad: int) -> None:
+def _assert_failed_cleanly(
+    flow, codec_pool, buffers, wire, blocks, bad: int, *, pooled: bool
+) -> None:
     """decode-error, no byte of frame ``bad`` or later echoed, no trailer,
-    and every slab back in the buffer pool."""
+    and every slab back in the buffer pool: identity frames take none,
+    and ``pooled`` (codec) frames give back every one they took."""
     assert flow.failure.startswith("decode-error: CorruptBlockError("), flow.failure
     controls, echoed = _split(wire)
     assert all("crc32" not in body for body in controls)  # no trailer
@@ -283,7 +292,10 @@ def _assert_failed_cleanly(flow, codec_pool, buffers, wire, blocks, bad: int) ->
     flow.pump()  # and no late result either
     stats = buffers.stats()
     assert stats["oversize"] == 0
-    assert stats["free_slabs"] == stats["misses"] > 0
+    if pooled:
+        assert stats["free_slabs"] == stats["misses"] > 0
+    else:
+        assert stats["hits"] == stats["misses"] == 0
 
 
 class TestFaultPaths:
@@ -295,7 +307,9 @@ class TestFaultPaths:
         frames = [_no_frame(b) for b in blocks]
         frames[3] = _flip_payload_byte(frames[3])
         wire_out = _drive(flow, peer, frames, level="NO")
-        _assert_failed_cleanly(flow, codec_pool, buffers, wire_out, blocks, bad=3)
+        _assert_failed_cleanly(
+            flow, codec_pool, buffers, wire_out, blocks, bad=3, pooled=False
+        )
 
     def test_identity_length_mismatch_fails_the_flow(self, wire, codec_pool):
         sock, peer = wire
@@ -308,7 +322,9 @@ class TestFaultPaths:
         )
         frames[3] = lying + blocks[3]  # CRC right, lengths disagree
         wire_out = _drive(flow, peer, frames, level="NO")
-        _assert_failed_cleanly(flow, codec_pool, buffers, wire_out, blocks, bad=3)
+        _assert_failed_cleanly(
+            flow, codec_pool, buffers, wire_out, blocks, bad=3, pooled=False
+        )
         assert "header claim" in flow.failure
 
     def test_flipped_light_frame_fails_through_the_pool(self, wire, codec_pool):
@@ -319,7 +335,9 @@ class TestFaultPaths:
         frames = [_light_frame(b) for b in blocks]
         frames[3] = _flip_payload_byte(frames[3])
         wire_out = _drive(flow, peer, frames, level="NO")
-        _assert_failed_cleanly(flow, codec_pool, buffers, wire_out, blocks, bad=3)
+        _assert_failed_cleanly(
+            flow, codec_pool, buffers, wire_out, blocks, bad=3, pooled=True
+        )
         assert codec_pool.stats()["jobs_submitted"] > 0
 
     def test_stored_fallback_frames_echo_at_no_with_flags_zero(self, wire, codec_pool):
@@ -380,28 +398,53 @@ class TestFaultPaths:
         assert controls[-1]["crc32"] == zlib.crc32(b"".join(blocks))
 
 
+class TestHelloBlockSize:
+    @pytest.mark.parametrize("level", ["NO", "LIGHT"])
+    def test_block_size_changes_no_echoed_byte(self, codec_pool, level):
+        """The hello's block_size is checked and otherwise unused: every
+        inbound frame echoes as one frame, so an absent, a 4 KiB and a
+        1 MiB block_size give the same echoed bytes and trailer.  Only
+        the trailer's ``wire_bytes_in`` differs, by the hello's length."""
+        sizes = (16 * 1024, 8 * 1024, 3000, 20 * 1024, 32 * 1024)
+        blocks = [bytes([i + 1]) * size for i, size in enumerate(sizes)]
+        frames = [
+            _no_frame(b) if i % 2 else _light_frame(b) for i, b in enumerate(blocks)
+        ]
+        uploaded = sum(len(frame) for frame in frames)
+        echoes = []
+        for block_size in (None, 4 * 1024, 1 << 20):
+            sock, peer = socket.socketpair()
+            sock.setblocking(False)
+            try:
+                flow = _echo_flow(sock, codec_pool)
+                wire = _drive(flow, peer, frames, level=level, block_size=block_size)
+            finally:
+                sock.close()
+                peer.close()
+            assert flow.ok, flow.failure
+            controls, echoed = _split(wire)
+            hello = _hello(level, block_size)
+            assert controls[-1].pop("wire_bytes_in") == len(hello) + uploaded
+            echoes.append((echoed, controls))
+        assert echoes[0] == echoes[1] == echoes[2]
+        echoed, controls = echoes[0]
+        assert [decode_block(frame) for frame in echoed] == blocks
+        assert controls[-1]["crc32"] == zlib.crc32(b"".join(blocks))
+
+
 # -- one sendmsg per write turn -----------------------------------------
 
 
-class _Owner:
-    def __init__(self) -> None:
-        self.releases = 0
-
-    def release(self) -> None:
-        self.releases += 1
-
-
-def _queue_all(flow: Flow, bufs) -> tuple:
-    """Queue ``bufs`` with one counting owner each; (owners, end offsets)."""
-    owners = [_Owner() for _ in bufs]
-    for buf, owner in zip(bufs, owners):
-        flow._queue(buf, owner=owner)
-    return owners, list(itertools.accumulate(memoryview(b).nbytes for b in bufs))
+def _queue_all(flow: Flow, bufs) -> list:
+    """Queue ``bufs``; the end offset of each in the sent byte stream."""
+    for buf in bufs:
+        flow._queue(buf)
+    return list(itertools.accumulate(memoryview(b).nbytes for b in bufs))
 
 
-def _assert_released_on_last_byte(flow: Flow, owners, ends) -> None:
-    for owner, end in zip(owners, ends):
-        assert owner.releases == (1 if flow.bytes_out >= end else 0)
+def _assert_released_on_last_byte(flow: Flow, ends) -> None:
+    """The queue holds exactly the buffers whose last byte is unsent."""
+    assert len(flow._out) == sum(end > flow.bytes_out for end in ends)
 
 
 @pytest.fixture()
@@ -425,7 +468,7 @@ class TestHandleWrite:
         rng = random.Random(5)
         raw = [rng.randbytes(n) for n in (3000, 20000, 1, 7000, 12345, 500, 4999)]
         bufs = [raw[0], bytearray(raw[1]), memoryview(raw[2])] + raw[3:]
-        owners, ends = _queue_all(flow, bufs)
+        ends = _queue_all(flow, bufs)
         got = bytearray()
         full_turns = short_turns = 0
         while flow.wants_write:
@@ -434,7 +477,7 @@ class TestHandleWrite:
             assert 0 <= sent <= self.QUANTUM
             full_turns += sent == min(self.QUANTUM, queued)
             short_turns += 0 < sent < min(self.QUANTUM, queued)
-            _assert_released_on_last_byte(flow, owners, ends)
+            _assert_released_on_last_byte(flow, ends)
             if sent == 0:  # the send buffer is full: let the peer read
                 while len(got) < flow.bytes_out:
                     got += peer.recv(1 << 16)
@@ -443,31 +486,31 @@ class TestHandleWrite:
         assert bytes(got) == b"".join(raw)
         assert flow.bytes_out == ends[-1] and flow._out_bytes == 0
         assert full_turns and short_turns  # both limits were reached
-        assert [o.releases for o in owners] == [1] * len(owners)
+        assert not flow._out
 
     def test_more_buffers_than_iov_max_go_out_in_order(self, wire):
         sock, peer = wire
         flow = _echo_flow(sock, DecodeNowHoldCompress())
         bufs = [i.to_bytes(2, "big") for i in range(IOV_MAX + 7)]
-        owners, ends = _queue_all(flow, bufs)
+        ends = _queue_all(flow, bufs)
         assert flow.handle_write(1 << 20) == 2 * IOV_MAX  # one sendmsg
-        _assert_released_on_last_byte(flow, owners, ends)
+        _assert_released_on_last_byte(flow, ends)
         assert flow.handle_write(1 << 20) == 2 * 7
         got = bytearray()
         while len(got) < ends[-1]:
             got += peer.recv(1 << 16)
         assert bytes(got) == b"".join(bufs)
-        assert [o.releases for o in owners] == [1] * len(owners)
+        assert not flow._out
 
-    def test_fail_releases_each_unsent_owner_once(self, narrow_wire):
+    def test_fail_drops_every_unsent_buffer(self, narrow_wire):
         sock, peer = narrow_wire
         flow = _echo_flow(sock, DecodeNowHoldCompress())
         bufs = [bytes([i]) * 6000 for i in range(3)]
-        owners, ends = _queue_all(flow, bufs)
+        ends = _queue_all(flow, bufs)
         sent = flow.handle_write(1 << 20)
         assert ends[0] <= sent < ends[1]  # the second buffer went out in part
-        _assert_released_on_last_byte(flow, owners, ends)
+        _assert_released_on_last_byte(flow, ends)
         flow.fail("test")
         flow.fail("test again")
-        assert [o.releases for o in owners] == [1, 1, 1]
+        assert not flow._out and flow._out_bytes == 0
         assert not flow.wants_write and flow.handle_write() == 0

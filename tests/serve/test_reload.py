@@ -8,11 +8,14 @@ The reload contract under test (``TransferServer.request_reload``):
   retuned in place and **no connection is dropped**;
 * flows whose client pinned a level in the hello keep it — a reload
   only moves server-chosen levels;
-* ``SIGHUP`` on the CLI daemon re-reads ``--config`` (subprocess test).
+* ``SIGHUP`` on the CLI daemon re-reads ``--config`` (subprocess test);
+* the validator is ``ServeConfig``'s own, so a value a reload rejects
+  is rejected at construction too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -41,6 +44,22 @@ from repro.telemetry.events import BUS, ConfigReloaded
 from repro.telemetry.exporters import InMemoryExporter
 
 LEVELS = default_level_table()
+
+#: (bad change set, error message pattern) — rejected by a reload and
+#: by ServeConfig alike.
+BAD_VALUES = [
+    ({"level": "gzip-1"}, "unknown level"),
+    ({"level": 3}, "level must be a name"),
+    ({"policy": "round-robin"}, "unknown policy"),
+    ({"policy": 7}, "policy must be a name"),
+    ({"control_interval": 0.0}, "must be positive"),
+    ({"control_interval": "soon"}, None),
+    ({"idle_timeout": -1}, "must be >= 0"),
+    ({"max_flows": 0}, "must be >= 1"),
+    ({"max_flows": True}, "must be an integer"),
+    ({"max_queued_jobs": -5}, "must be >= 0"),
+    ({"max_queued_jobs": 2.5}, "must be an integer"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -98,22 +117,7 @@ class TestValidation:
         assert server.reloads == 0
         assert server.config.level is None  # the valid half not applied
 
-    @pytest.mark.parametrize(
-        "changes,match",
-        [
-            ({"level": "gzip-1"}, "unknown level"),
-            ({"level": 3}, "level must be a name"),
-            ({"policy": "round-robin"}, "unknown policy"),
-            ({"policy": 7}, "policy must be a name"),
-            ({"control_interval": 0.0}, "must be positive"),
-            ({"control_interval": "soon"}, None),
-            ({"idle_timeout": -1}, "must be >= 0"),
-            ({"max_flows": 0}, "must be >= 1"),
-            ({"max_flows": True}, "must be an integer"),
-            ({"max_queued_jobs": -5}, "must be >= 0"),
-            ({"max_queued_jobs": 2.5}, "must be an integer"),
-        ],
-    )
+    @pytest.mark.parametrize("changes,match", BAD_VALUES)
     def test_bad_values_rejected(self, server, changes, match):
         with pytest.raises(ValueError, match=match):
             server.request_reload(changes)
@@ -134,6 +138,45 @@ class TestValidation:
         assert server.request_reload({}) == {}
         time.sleep(0.1)
         assert server.reloads == 0
+
+
+class TestOneValidator:
+    """Startup, ``--config`` and reload share ServeConfig's validator."""
+
+    @pytest.mark.parametrize("changes,match", BAD_VALUES)
+    def test_bad_values_rejected_at_construction(self, changes, match):
+        with pytest.raises(ValueError, match=match):
+            ServeConfig(**changes)
+
+    @pytest.mark.parametrize(
+        "changes,match",
+        [
+            ({"epoch_seconds": 0}, "epoch_seconds must be positive"),
+            ({"codec_workers": -1}, "codec_workers must be >= 0"),
+            ({"idle_timeout": float("nan")}, "idle_timeout must be a number"),
+        ],
+    )
+    def test_epoch_workers_and_nan_rejected(self, changes, match):
+        with pytest.raises(ValueError, match=match):
+            ServeConfig(**changes)
+
+    def test_floats_normalized_and_config_frozen(self):
+        config = ServeConfig(idle_timeout=3, epoch_seconds=1, control_interval=2)
+        floats = (config.idle_timeout, config.epoch_seconds, config.control_interval)
+        assert floats == (3.0, 1.0, 2.0)
+        assert all(type(value) is float for value in floats)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.max_flows = 1  # type: ignore[misc]
+
+    def test_reload_swaps_in_a_new_config(self, server):
+        before = server.config
+        server.request_reload({"max_flows": 8, "idle_timeout": 30})
+        assert _settle(lambda: server.reloads == 1)
+        assert server.config is not before
+        assert server.config == dataclasses.replace(
+            before, max_flows=8, idle_timeout=30.0
+        )
+        assert server.last_reload["changed"] == ("idle_timeout", "max_flows")
 
 
 class TestLiveFlowRetune:

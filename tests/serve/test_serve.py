@@ -370,7 +370,7 @@ class TestTelemetry:
         srv = TransferServer(ServeConfig(port=0, codec_workers=2)).start()
         try:
             host, port = srv.address
-            ServeClient(host, port, timeout=30.0).upload(payload)
+            ServeClient(host, port, timeout=30.0).upload(payload, level="LIGHT")
         finally:
             srv.stop(drain=True, timeout=10.0)
         serve_depth = [e for e in depth_events if e.source == "serve-codec"]
@@ -405,7 +405,6 @@ class TestProcessBackend:
                 max_flows=16,
                 codec_workers=2,
                 codec_backend="process",
-                codec_shards=2,
             )
         ).start()
         yield srv
@@ -486,9 +485,7 @@ class TestProcessBackend:
         if not process_backend_available():
             pytest.skip("process backend unavailable on this platform")
         srv = TransferServer(
-            ServeConfig(
-                port=0, codec_workers=2, codec_backend="process", codec_shards=2
-            )
+            ServeConfig(port=0, codec_workers=2, codec_backend="process")
         ).start()
         names = [pool._slabs.name for pool in srv._codec_pools]
         _client(srv).upload(payload)
