@@ -49,9 +49,10 @@ DEFAULT_BLOCK_SIZE = 128 * 1024
 FLAG_STORED_FALLBACK = 0x01
 
 #: Sanity ceiling on header length fields: 16x the paper's block size.
-#: Nothing the writers produce comes near it (payloads are bounded by
-#: the block size plus codec overhead), so any larger claim is treated
-#: as corruption before a single byte is allocated for it.
+#: It is also the largest block size a writer accepts, and a payload is
+#: never longer than its block (the stored fallback sees to that), so
+#: any larger claim is treated as corruption before a single byte is
+#: allocated for it.
 MAX_BLOCK_LEN = 16 * DEFAULT_BLOCK_SIZE
 
 #: Block payloads are accepted as any C-contiguous byte buffer, so the
@@ -84,18 +85,12 @@ class BlockHeader:
 class EncodedBlock:
     """A fully framed block plus its bookkeeping numbers.
 
-    ``frame`` is a bytes-like object (a ``bytearray`` on the hot path —
-    assembled in a single preallocated buffer, never re-copied into an
-    immutable ``bytes`` — or a ``memoryview`` of a pool slab when the
-    encoder runs with a :class:`~repro.core.buffers.BufferPool`); treat
-    it as read-only.  Pool-backed frames must be :meth:`release`\\ d
-    once written; ``release`` is a safe no-op for plain frames.
+    ``frame`` is assembled in a single preallocated ``bytearray``,
+    never re-copied into an immutable ``bytes``; treat it as read-only.
     """
 
-    frame: Union[bytes, bytearray, memoryview]
+    frame: bytearray
     header: BlockHeader
-    #: Pool buffer backing ``frame`` (None for plain allocations).
-    buf: Optional[object] = None
 
     @property
     def frame_len(self) -> int:
@@ -107,11 +102,6 @@ class EncodedBlock:
         if self.header.uncompressed_len == 0:
             return 1.0
         return self.header.compressed_len / self.header.uncompressed_len
-
-    def release(self) -> None:
-        """Return a pool-backed frame buffer to its pool.  Idempotent."""
-        if self.buf is not None:
-            self.buf.release()
 
 
 @dataclass(frozen=True)
@@ -140,11 +130,6 @@ class EncodedParts:
         if self.header.uncompressed_len == 0:
             return 1.0
         return self.header.compressed_len / self.header.uncompressed_len
-
-    def release(self) -> None:
-        """No-op, mirroring :meth:`EncodedBlock.release`: parts never
-        borrow pool buffers, so discard paths can release any encoded
-        result without a type check."""
 
 
 def _compress_payload(data: BlockData, codec: Codec) -> tuple:
@@ -198,7 +183,6 @@ def frame_payload(
     header: BlockHeader,
     payload: BlockData,
     *,
-    pool: Optional[object] = None,
     vectored: bool = False,
 ) -> Union[EncodedBlock, EncodedParts]:
     """Frame a finished ``(header, payload)`` pair — the one header packer.
@@ -206,41 +190,29 @@ def frame_payload(
     ``vectored=True`` keeps the two parts separate
     (:class:`EncodedParts`); the payload is referenced, never copied.
     Otherwise the frame is assembled in one preallocated buffer (header
-    packed in place, payload copied in exactly once) — carved from
-    ``pool`` (a :class:`~repro.core.buffers.BufferPool`) when given, in
-    which case the caller must ``release()`` the block once written.
-    Every encoder funnels through here, whichever thread or process ran
-    the codec, so the wire bytes cannot drift between paths.
+    packed in place, payload copied in exactly once).  Every encoder
+    funnels through here, whichever thread or process ran the codec, so
+    the wire bytes cannot drift between paths.
     """
     fields = _header_fields(header)
     if vectored:
         return EncodedParts(
             header=header, header_bytes=HEADER.pack(*fields), payload=payload
         )
-    buf = None
-    if pool is not None:
-        buf = pool.acquire(HEADER_SIZE + header.compressed_len)
-        frame = buf.view
-    else:
-        frame = bytearray(HEADER_SIZE + header.compressed_len)
+    frame = bytearray(HEADER_SIZE + header.compressed_len)
     HEADER.pack_into(frame, 0, *fields)
     frame[HEADER_SIZE:] = payload
-    return EncodedBlock(frame=frame, header=header, buf=buf)
+    return EncodedBlock(frame=frame, header=header)
 
 
-def encode_block(
-    data: BlockData, codec: Codec, *, pool: Optional[object] = None
-) -> EncodedBlock:
+def encode_block(data: BlockData, codec: Codec) -> EncodedBlock:
     """Compress ``data`` with ``codec`` and wrap it in a frame.
 
     ``data`` may be ``bytes``, a ``bytearray`` or a C-contiguous
     ``memoryview`` — the stream layer passes zero-copy views of its
     write buffer.  The input is never copied to an intermediate object,
     so a ``memoryview`` input costs a single payload copy total (into
-    the frame, see :func:`frame_payload`).  ``pool`` (a
-    :class:`~repro.core.buffers.BufferPool`) reuses frame buffers across
-    blocks instead of allocating one per call; the caller must then
-    ``release()`` the block after writing it.
+    the frame, see :func:`frame_payload`).
 
     If the codec expands the data (or saves nothing), the block is
     stored raw (codec id 0) with ``FLAG_STORED_FALLBACK``
@@ -249,7 +221,7 @@ def encode_block(
     defensive copy is taken.
     """
     header, payload = _compress_payload(data, codec)
-    return frame_payload(header, payload, pool=pool)
+    return frame_payload(header, payload)
 
 
 def encode_block_parts(data: BlockData, codec: Codec) -> EncodedParts:
@@ -273,8 +245,8 @@ def decode_header(raw: BlockData, *, max_len: Optional[int] = None) -> BlockHead
     :data:`MAX_BLOCK_LEN`); a header claiming more raises
     :class:`~repro.codecs.errors.OversizedBlockError` so corrupted
     length bytes can never drive a multi-GB allocation downstream.
-    Pass a larger bound explicitly for streams written with an
-    unusually large block size.
+    No writer emits a longer block: their block size is capped at
+    :data:`MAX_BLOCK_LEN` and a payload is never longer than its block.
     """
     if max_len is None:
         max_len = MAX_BLOCK_LEN
@@ -524,12 +496,10 @@ class BlockReader:
         source: BinaryIO,
         registry: CodecRegistry = DEFAULT_REGISTRY,
         *,
-        max_block_len: Optional[int] = None,
         pool: Optional[object] = None,
     ) -> None:
         self._source = source
         self._registry = registry
-        self._max_block_len = max_block_len
         self._pool = pool
         # Prefer scatter reads straight into our buffer; fall back to
         # read() for minimal sources (e.g. BoundedPipe-like objects).
@@ -591,7 +561,7 @@ class BlockReader:
         """
         if not self._readinto_exact(self._header_view, allow_eof=True):
             return None
-        header = decode_header(self._header_buf, max_len=self._max_block_len)
+        header = decode_header(self._header_buf)
         if self._pool is not None:
             payload = self._pool.acquire(header.compressed_len)
             try:

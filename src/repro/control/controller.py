@@ -1,17 +1,11 @@
-"""The fleet controller: telemetry in, assignments out.
+"""The fleet controller: observations in, assignments out.
 
 :class:`FleetController` is the cross-flow brain ROADMAP item 2 asks
-for.  It maintains per-flow state from two ingestion paths:
-
-* **Bus subscription** (:meth:`attach`): consumes ``FlowAccepted`` /
-  ``FlowClosed`` / ``FlowRates`` / ``PipelineQueueDepth`` /
-  ``BufferPoolStats`` events from the telemetry bus.  This is how the
-  serve layer feeds it — and because attachment *is* the bus
-  subscription, an unattached controller keeps the bus idle and every
-  instrumented hot path stays zero-cost.
-* **Direct calls** (:meth:`flow_opened` / :meth:`observe_flow` /
-  :meth:`flow_closed`): how the simulator's fleet harness feeds the
-  identical controller without a bus round-trip.
+for.  Its host feeds it per-flow state by direct calls
+(:meth:`flow_opened` / :meth:`observe_flow` / :meth:`flow_closed`);
+the serve loop and the simulator's fleet harness drive the identical
+controller this one way, so turning telemetry on never changes what it
+sees.
 
 Each host-driven :meth:`on_tick` (the serve loop calls it once per
 poll pass; the sim calls it from a clocked process) runs the pluggable
@@ -21,10 +15,10 @@ poll pass; the sim calls it from a clocked process) runs the pluggable
 host maps onto whatever its substrate supports (level override + decode
 window in serve, cpu share in the simulator).
 
-Thread-safety: bus events may arrive from codec worker threads while
-``on_tick`` runs on the host loop thread, so all flow state is behind
-one lock.  The actuator is invoked *outside* the lock, on the tick
-caller's thread.
+Thread-safety: all flow state is behind one lock, so an admin thread
+may read snapshots while the host loop feeds and ticks the controller.
+The actuator is invoked *outside* the lock, on the tick caller's
+thread.  ``bus`` only receives the :class:`FleetRebalanced` events.
 """
 
 from __future__ import annotations
@@ -33,17 +27,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Union
 
-from ..telemetry.events import (
-    BUS,
-    BufferPoolStats,
-    EventBus,
-    FleetRebalanced,
-    FlowAccepted,
-    FlowClosed,
-    FlowRates,
-    PipelineQueueDepth,
-    TelemetryEvent,
-)
+from ..telemetry.events import BUS, EventBus, FleetRebalanced
 from .policies import (
     AllocationPolicy,
     Assignment,
@@ -98,59 +82,11 @@ class FleetController:
         self.source = source
         self._lock = threading.Lock()
         self._flows: Dict[int, FlowState] = {}
-        self._handle = None
-        self.codec_workers = 0
-        self.codec_queue_depth = 0
         #: Completed policy passes (telemetry + tests).
         self.rebalances = 0
         self._last_tick: Optional[float] = None
 
-    # -- lifecycle ------------------------------------------------------
-
-    @property
-    def attached(self) -> bool:
-        return self._handle is not None
-
-    def attach(self) -> "FleetController":
-        """Subscribe to the telemetry bus (idempotent)."""
-        if self._handle is None:
-            self._handle = self.bus.subscribe(self._on_event)
-        return self
-
-    def detach(self) -> None:
-        """Unsubscribe; the bus returns to zero-cost idle if empty."""
-        if self._handle is not None:
-            self.bus.unsubscribe(self._handle)
-            self._handle = None
-
-    def __enter__(self) -> "FleetController":
-        return self.attach()
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
-
     # -- observation ingestion -----------------------------------------
-
-    def _on_event(self, ev: TelemetryEvent) -> None:
-        if isinstance(ev, FlowRates):
-            self.observe_flow(
-                ev.flow_id,
-                now=ev.ts,
-                level=ev.level,
-                app_rate=ev.app_rate,
-                app_bytes=ev.app_bytes,
-                observed_ratio=ev.observed_ratio,
-            )
-        elif isinstance(ev, FlowAccepted):
-            self.flow_opened(ev.flow_id, now=ev.ts)
-        elif isinstance(ev, FlowClosed):
-            self.flow_closed(ev.flow_id)
-        elif isinstance(ev, PipelineQueueDepth):
-            with self._lock:
-                self.codec_queue_depth = ev.depth
-                self.codec_workers = ev.workers
-        elif isinstance(ev, BufferPoolStats):
-            pass  # reserved: memory-pressure policies
 
     def flow_opened(self, flow_id: int, *, now: float) -> None:
         with self._lock:
@@ -210,13 +146,7 @@ class FleetController:
                 )
                 for st in sorted(self._flows.values(), key=lambda s: s.flow_id)
             )
-            return FleetView(
-                now=now,
-                flows=flows,
-                n_levels=self.n_levels,
-                codec_workers=self.codec_workers,
-                codec_queue_depth=self.codec_queue_depth,
-            )
+            return FleetView(now=now, flows=flows, n_levels=self.n_levels)
 
     def assignment_for(self, flow_id: int) -> Assignment:
         with self._lock:

@@ -88,9 +88,6 @@ class FleetView:
     now: float
     flows: Tuple[FlowSnapshot, ...]
     n_levels: int
-    codec_workers: int = 0
-    codec_queue_depth: int = 0
-    link_capacity: Optional[float] = None
 
     @property
     def aggregate_rate(self) -> float:

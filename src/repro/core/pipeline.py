@@ -50,8 +50,8 @@ direction:
   see damaged frames: corruption is skipped and counted during the
   fetch, and decoding continues.
 
-Both pipelines accept a :class:`~repro.core.buffers.BufferPool` to
-recycle frame/payload buffers instead of allocating per block.
+The decoder accepts a :class:`~repro.core.buffers.BufferPool` to
+recycle payload buffers instead of allocating one per block.
 
 Both pipelines hand their codec jobs to a **codec pool** through one
 typed contract — ``submit_compress``/``submit_decompress`` with an
@@ -76,10 +76,10 @@ runs every flow's jobs on shared pools this way.  Ordering, windowing,
 error latching and byte identity stay per pipeline; only where the
 codec call executes differs.
 
-Telemetry keeps PR 1's zero-cost-when-idle property: queue-depth gauges
+Telemetry is zero-cost when idle: queue-depth gauges
 (:class:`~repro.telemetry.events.PipelineQueueDepth`), per-worker
 compress/decompress spans (``pipeline.compress`` /
-``pipeline.decompress``) and the close-time pool snapshot
+``pipeline.decompress``) and the decoder's close-time pool snapshot
 (:class:`~repro.telemetry.events.BufferPoolStats`) are only constructed
 when a bus subscriber is attached.
 """
@@ -449,7 +449,6 @@ class ParallelBlockEncoder:
         workers: int = 0,
         max_in_flight: Optional[int] = None,
         source: str = "pipeline",
-        pool: Optional[BufferPool] = None,
         codec_pool: Optional[CodecPool] = None,
         backend: str = "thread",
     ) -> None:
@@ -462,11 +461,9 @@ class ParallelBlockEncoder:
         self._codec_pool = codec_pool
         self._sink = sink
         # Vectored sinks take (header, payload) parts and the frame is
-        # never assembled; otherwise frames go out contiguous, carved
-        # from the pool when one is provided.
+        # never assembled; otherwise frames go out contiguous.
         self._sink_writev = getattr(sink, "writev", None)
         self._vectored = self._sink_writev is not None
-        self._pool = pool if not self._vectored else None
         self._source = source
         self._max_in_flight = max_in_flight
         self._cond = threading.Condition()
@@ -478,7 +475,7 @@ class ParallelBlockEncoder:
         self._next_emit = 0
         self._closed = False
         #: After close/abort: jobs still queued on a shared pool must
-        #: drop (and release) their results instead of latching them.
+        #: drop their results instead of latching them.
         self._discard = False
         self.blocks_written = 0
         #: Uncompressed bytes *submitted* (counted at submission so the
@@ -516,17 +513,13 @@ class ParallelBlockEncoder:
             if self._vectored and not (payload is data or isinstance(payload, bytes)):
                 # Parts outlive this call; a pool view does not.
                 payload = bytes(payload)
-            block = frame_payload(
-                header, payload, pool=self._pool, vectored=self._vectored
-            )
+            block = frame_payload(header, payload, vectored=self._vectored)
         with self._cond:
             if exc is not None:
                 if self._error is None:
                     self._error = exc
             elif self._discard:
-                # Nobody will emit this frame: return its buffer.
-                block.release()
-                return
+                return  # nobody will emit this frame
             else:
                 self._results[seq] = block
             self._cond.notify_all()
@@ -561,13 +554,10 @@ class ParallelBlockEncoder:
         for block in blocks:
             if self._vectored:
                 self._sink_writev((block.header_bytes, block.payload))
-            self.blocks_written += 1
-            # Count before release(): a pool-backed frame's length is
-            # unreadable once its view has gone back to the pool.
-            self.bytes_out += block.frame_len
-            if not self._vectored:
+            else:
                 self._sink.write(block.frame)
-                block.release()
+            self.blocks_written += 1
+            self.bytes_out += block.frame_len
 
     def write_block(self, data: BlockData, codec: Codec) -> None:
         """Queue ``data`` for compression with ``codec``.
@@ -622,12 +612,6 @@ class ParallelBlockEncoder:
             self.flush()
         finally:
             self._shutdown_workers(drain=True)
-            if self._pool is not None and BUS.active:
-                BUS.publish(
-                    BufferPoolStats(
-                        ts=BUS.now(), source=self._source, **self._pool.stats()
-                    )
-                )
 
     def abort(self) -> None:
         """Stop and join the workers without emitting pending frames.
@@ -658,8 +642,6 @@ class ParallelBlockEncoder:
                 # The sink is already broken: never wait on queued work.
                 self._codec_pool.terminate()
         with self._cond:
-            for block in self._results.values():
-                block.release()
             self._results.clear()
 
     def __enter__(self) -> "ParallelBlockEncoder":
@@ -675,7 +657,6 @@ def make_block_encoder(
     workers: int = 1,
     max_in_flight: Optional[int] = None,
     source: str = "pipeline",
-    pool: Optional[BufferPool] = None,
     codec_pool: Optional[CodecPool] = None,
     backend: str = "thread",
 ) -> Union[BlockWriter, ParallelBlockEncoder]:
@@ -685,8 +666,6 @@ def make_block_encoder(
     :class:`~repro.codecs.block.BlockWriter` — byte-for-byte and
     code-path-for-code-path today's behaviour, with zero threading
     overhead.  ``workers>1`` returns a :class:`ParallelBlockEncoder`.
-    ``pool`` recycles frame buffers on the parallel path; the serial
-    writer hands frames back to its caller, so it never pools them.
     ``codec_pool`` routes compress jobs to a shared codec pool of
     either kind (always the parallel class then, whatever ``workers``
     says) instead of one owned by this encoder.
@@ -709,7 +688,6 @@ def make_block_encoder(
         workers=workers,
         max_in_flight=max_in_flight,
         source=source,
-        pool=pool,
         codec_pool=codec_pool,
         backend=backend,
     )
@@ -754,7 +732,6 @@ class ParallelBlockDecoder:
         *,
         workers: int = 0,
         max_in_flight: Optional[int] = None,
-        max_block_len: Optional[int] = None,
         resync: bool = False,
         pool: Optional[BufferPool] = None,
         event_source: str = "decode-pipeline",
@@ -782,13 +759,9 @@ class ParallelBlockDecoder:
         self._scanner: Optional[ResyncFrameScanner] = None
         self._reader: Optional[BlockReader] = None
         if resync:
-            self._scanner = ResyncFrameScanner(
-                source, max_block_len=max_block_len, event_source=event_source
-            )
+            self._scanner = ResyncFrameScanner(source, event_source=event_source)
         else:
-            self._reader = BlockReader(
-                source, registry, max_block_len=max_block_len, pool=pool
-            )
+            self._reader = BlockReader(source, registry, pool=pool)
         self._cond = threading.Condition()
         #: seq -> decoded bytes | _SkippedFrame, filled by workers,
         #: drained in order by the consumer (guarded by ``_cond``).
@@ -1064,7 +1037,6 @@ def make_block_decoder(
     *,
     workers: int = 1,
     resync: bool = False,
-    max_block_len: Optional[int] = None,
     max_in_flight: Optional[int] = None,
     pool: Optional[BufferPool] = None,
     event_source: str = "decode-pipeline",
@@ -1093,8 +1065,8 @@ def make_block_decoder(
         backend = resolve_backend(backend, source=event_source)
         if workers == 1 and backend == "thread":
             if resync:
-                return ResyncBlockReader(source, registry, max_block_len=max_block_len)
-            return BlockReader(source, registry, max_block_len=max_block_len, pool=pool)
+                return ResyncBlockReader(source, registry)
+            return BlockReader(source, registry, pool=pool)
     elif workers == 1:
         workers = 0  # the shared pool's size sets the default window
     return ParallelBlockDecoder(
@@ -1102,7 +1074,6 @@ def make_block_decoder(
         registry,
         workers=workers,
         max_in_flight=max_in_flight,
-        max_block_len=max_block_len,
         resync=resync,
         pool=pool,
         event_source=event_source,

@@ -77,12 +77,10 @@ class ResyncFrameScanner:
         self,
         source: BinaryIO,
         *,
-        max_block_len: Optional[int] = None,
         event_source: str = "resync-reader",
     ) -> None:
         self._source = source
         self._readinto = getattr(source, "readinto", None)
-        self._max_block_len = max_block_len
         self._event_source = event_source
         self._buffer = bytearray()
         self._eof = False
@@ -176,9 +174,7 @@ class ResyncFrameScanner:
                 self._discard(idx)
                 continue
             try:
-                header = decode_header(
-                    self._buffer[:HEADER_SIZE], max_len=self._max_block_len
-                )
+                header = decode_header(self._buffer[:HEADER_SIZE])
             except CorruptBlockError:
                 self._discard(1)
                 continue
@@ -244,10 +240,8 @@ class ResyncBlockReader:
         self,
         source: BinaryIO,
         registry: CodecRegistry = DEFAULT_REGISTRY,
-        *,
-        max_block_len: Optional[int] = None,
     ) -> None:
-        self._scanner = ResyncFrameScanner(source, max_block_len=max_block_len)
+        self._scanner = ResyncFrameScanner(source)
         self._registry = registry
         self.blocks_read = 0
         self.bytes_out = 0

@@ -7,9 +7,13 @@ intercepted by the adaptive compression module which, if considered
 beneficial, compresses the data according to a specific compression
 level." (Section III-A)
 
-:class:`AdaptiveBlockWriter` is that module for any binary file-like
-sink (socket ``makefile``, file, pipe).  The receiver side needs no
-adaptivity at all — every framed block names its codec — so plain
+:class:`StaticBlockWriter` is the block layer's one writer for any
+binary file-like sink (socket ``makefile``, file, pipe): it buffers
+application bytes, carves them into self-contained blocks and frames
+each at one level.  :class:`AdaptiveBlockWriter` is that module: the
+same writer, with the level re-decided every epoch by the paper's
+controller.  The receiver side needs no adaptivity at all — every
+framed block names its codec — so plain
 :class:`~repro.codecs.block.BlockReader` decodes the stream.
 """
 
@@ -18,7 +22,7 @@ from __future__ import annotations
 import time
 from typing import BinaryIO, Callable, Optional
 
-from ..codecs.block import DEFAULT_BLOCK_SIZE, BlockData
+from ..codecs.block import DEFAULT_BLOCK_SIZE, MAX_BLOCK_LEN, BlockData
 from ..telemetry.events import BUS, TransferProgress
 from .controller import AdaptiveController
 from .decision import DEFAULT_ALPHA, DEFAULT_EPOCH_SECONDS
@@ -26,68 +30,58 @@ from .levels import CompressionLevelTable, default_level_table
 from .pipeline import make_block_encoder
 
 
-class AdaptiveBlockWriter:
-    """Write application bytes as adaptively compressed framed blocks.
+class StaticBlockWriter:
+    """Write application bytes as framed blocks at one fixed level.
 
-    Application data is buffered into blocks of ``block_size`` (the
-    paper's 128 KB), each block is compressed with the codec of the
-    controller's current level and framed self-contained, and the
-    controller re-decides the level every ``epoch_seconds`` of clock
-    time based on the achieved application data rate.
+    Implements Table II's NO/LIGHT/MEDIUM/HEAVY baselines on the real
+    I/O path.  Application data is buffered into blocks of
+    ``block_size`` (the paper's 128 KB), each compressed with the
+    level's codec and framed self-contained.  ``block_size`` must lie
+    in ``1..MAX_BLOCK_LEN``, the bound every reader enforces, so any
+    stream a writer accepts can be read back.
 
     ``workers`` > 1 compresses blocks on a thread pipeline
     (:class:`~repro.core.pipeline.ParallelBlockEncoder`) while keeping
-    the wire stream byte-identical to the serial path for the same
-    level schedule.  The controller still records uncompressed bytes at
-    submission time, so level decisions are unchanged; a level switch
-    takes effect on subsequently *submitted* blocks.
+    the wire stream byte-identical to the serial path.
     ``backend="process"`` runs those codec jobs on worker processes
     instead — same wire bytes, true multi-core scaling (see
     :mod:`repro.core.procpool`).
-
-    The clock is injectable so tests can drive time deterministically.
     """
+
+    #: Telemetry source label of the writer's encoder.
+    _source = "static-stream"
 
     def __init__(
         self,
         sink: BinaryIO,
+        level: int,
         levels: Optional[CompressionLevelTable] = None,
         *,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        epoch_seconds: float = DEFAULT_EPOCH_SECONDS,
-        alpha: float = DEFAULT_ALPHA,
-        initial_level: int = 0,
         workers: int = 1,
         backend: str = "thread",
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if block_size <= 0:
-            raise ValueError("block_size must be positive")
+        if not 1 <= block_size <= MAX_BLOCK_LEN:
+            raise ValueError(
+                f"block_size must be in 1..{MAX_BLOCK_LEN}, got {block_size}"
+            )
         self.levels = levels or default_level_table()
-        self._clock = clock
-        self._writer = make_block_encoder(
-            sink, workers=workers, backend=backend, source="adaptive-stream"
-        )
-        self._buffer = bytearray()
+        if not 0 <= level < len(self.levels):
+            raise ValueError(f"level {level} out of range")
+        self._level = level
         self.block_size = block_size
-        self.controller = AdaptiveController(
-            n_levels=len(self.levels),
-            epoch_seconds=epoch_seconds,
-            alpha=alpha,
-            initial_level=initial_level,
-            clock_start=clock(),
-        )
+        self._buffer = bytearray()
         self._closed = False
+        self._writer = make_block_encoder(
+            sink, workers=workers, backend=backend, source=self._source
+        )
 
     # -- statistics -------------------------------------------------
 
     @property
-    def current_level(self) -> int:
-        return self.controller.current_level
-
-    @property
-    def current_level_name(self) -> str:
-        return self.levels.name(self.controller.current_level)
+    def level(self) -> int:
+        """The level that codes the next block."""
+        return self._level
 
     @property
     def bytes_in(self) -> int:
@@ -127,30 +121,8 @@ class AdaptiveBlockWriter:
         return len(data)
 
     def _emit(self, block: BlockData) -> None:
-        codec = self.levels.codec(self.controller.current_level)
-        self._writer.write_block(block, codec)
-        # The application data rate counts *uncompressed* bytes — "the
-        # data rate experienced by the application before compressing
-        # the data" (Section I).  With a parallel encoder this happens
-        # at submission, so the controller sees bytes as the
-        # application hands them over, not when frames drain.
-        self.controller.record(block.nbytes if isinstance(block, memoryview) else len(block))
-        record = self.controller.poll(self._clock())
-        # Per-epoch stream progress: cumulative bytes in/out and the
-        # achieved wire ratio, emitted only at epoch boundaries so the
-        # per-block hot path stays event-free.
-        if record is not None and BUS.active:
-            bytes_in = self._writer.bytes_in
-            bytes_out = self._writer.bytes_out
-            BUS.publish(
-                TransferProgress(
-                    ts=record.end,
-                    source="adaptive-stream",
-                    bytes_in=bytes_in,
-                    bytes_out=bytes_out,
-                    ratio=bytes_out / bytes_in if bytes_in else 1.0,
-                )
-            )
+        """Frame one carved block at the current level."""
+        self._writer.write_block(block, self.levels.codec(self.level))
 
     def flush(self) -> None:
         """Emit any buffered partial block and drain in-flight frames."""
@@ -182,88 +154,96 @@ class AdaptiveBlockWriter:
         self._writer.abort()
         self._closed = True
 
-    def __enter__(self) -> "AdaptiveBlockWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class StaticBlockWriter:
-    """Non-adaptive counterpart: one fixed level for the whole stream.
-
-    Implements Table II's NO/LIGHT/MEDIUM/HEAVY baselines on the real
-    I/O path with the same framing as the adaptive writer.  ``workers``
-    behaves exactly as on :class:`AdaptiveBlockWriter`.
-    """
-
-    def __init__(
-        self,
-        sink: BinaryIO,
-        level: int,
-        levels: Optional[CompressionLevelTable] = None,
-        *,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        workers: int = 1,
-        backend: str = "thread",
-    ) -> None:
-        self.levels = levels or default_level_table()
-        if not 0 <= level < len(self.levels):
-            raise ValueError(f"level {level} out of range")
-        self.level = level
-        self.block_size = block_size
-        self._writer = make_block_encoder(
-            sink, workers=workers, backend=backend, source="static-stream"
-        )
-        self._buffer = bytearray()
-        self._closed = False
-
-    @property
-    def bytes_in(self) -> int:
-        return self._writer.bytes_in + len(self._buffer)
-
-    @property
-    def bytes_out(self) -> int:
-        return self._writer.bytes_out
-
-    def write(self, data: bytes) -> int:
-        if self._closed:
-            raise ValueError("writer is closed")
-        self._buffer.extend(data)
-        buffered = len(self._buffer)
-        if buffered >= self.block_size:
-            # Same zero-copy carving as AdaptiveBlockWriter.write.
-            cut = buffered - (buffered % self.block_size)
-            carved = bytes(memoryview(self._buffer)[:cut])
-            del self._buffer[:cut]
-            codec = self.levels.codec(self.level)
-            with memoryview(carved) as view:
-                for offset in range(0, cut, self.block_size):
-                    self._writer.write_block(view[offset : offset + self.block_size], codec)
-        return len(data)
-
-    def flush(self) -> None:
-        if self._buffer:
-            self._writer.write_block(bytes(self._buffer), self.levels.codec(self.level))
-            self._buffer.clear()
-        self._writer.flush()
-
-    def close(self) -> None:
-        if not self._closed:
-            try:
-                self.flush()
-            finally:
-                self._writer.close()
-                self._closed = True
-
-    def abort(self) -> None:
-        """Same error-path teardown as :meth:`AdaptiveBlockWriter.abort`."""
-        self._buffer.clear()
-        self._writer.abort()
-        self._closed = True
-
     def __enter__(self) -> "StaticBlockWriter":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class AdaptiveBlockWriter(StaticBlockWriter):
+    """Write application bytes as adaptively compressed framed blocks.
+
+    A :class:`StaticBlockWriter` whose level the controller re-decides
+    every ``epoch_seconds`` of clock time, based on the achieved
+    application data rate.  ``workers`` and ``backend`` behave as
+    there; with a parallel encoder the controller still records
+    uncompressed bytes at submission time, so level decisions are
+    unchanged, and a level switch takes effect on subsequently
+    *submitted* blocks.
+
+    The clock is injectable so tests can drive time deterministically.
+    """
+
+    _source = "adaptive-stream"
+
+    def __init__(
+        self,
+        sink: BinaryIO,
+        levels: Optional[CompressionLevelTable] = None,
+        *,
+        block_size: int = DEFAULT_BLOCK_SIZE,
+        epoch_seconds: float = DEFAULT_EPOCH_SECONDS,
+        alpha: float = DEFAULT_ALPHA,
+        initial_level: int = 0,
+        workers: int = 1,
+        backend: str = "thread",
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        # The controller checks its own arguments before the encoder
+        # starts, so a bad epoch length cannot leak pipeline workers.
+        levels = levels or default_level_table()
+        self._clock = clock
+        self.controller = AdaptiveController(
+            n_levels=len(levels),
+            epoch_seconds=epoch_seconds,
+            alpha=alpha,
+            initial_level=initial_level,
+            clock_start=clock(),
+        )
+        super().__init__(
+            sink,
+            initial_level,
+            levels,
+            block_size=block_size,
+            workers=workers,
+            backend=backend,
+        )
+
+    @property
+    def level(self) -> int:
+        """The controller's current level, which codes the next block."""
+        return self.controller.current_level
+
+    @property
+    def current_level(self) -> int:
+        return self.level
+
+    @property
+    def current_level_name(self) -> str:
+        return self.levels.name(self.level)
+
+    def _emit(self, block: BlockData) -> None:
+        super()._emit(block)
+        # The application data rate counts *uncompressed* bytes — "the
+        # data rate experienced by the application before compressing
+        # the data" (Section I).  With a parallel encoder this happens
+        # at submission, so the controller sees bytes as the
+        # application hands them over, not when frames drain.
+        self.controller.record(block.nbytes if isinstance(block, memoryview) else len(block))
+        record = self.controller.poll(self._clock())
+        # Per-epoch stream progress: cumulative bytes in/out and the
+        # achieved wire ratio, emitted only at epoch boundaries so the
+        # per-block hot path stays event-free.
+        if record is not None and BUS.active:
+            bytes_in = self._writer.bytes_in
+            bytes_out = self._writer.bytes_out
+            BUS.publish(
+                TransferProgress(
+                    ts=record.end,
+                    source=self._source,
+                    bytes_in=bytes_in,
+                    bytes_out=bytes_out,
+                    ratio=bytes_out / bytes_in if bytes_in else 1.0,
+                )
+            )

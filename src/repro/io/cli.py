@@ -209,15 +209,19 @@ def cmd_pack(args: argparse.Namespace) -> int:
     static_level = None
     if args.level != "adaptive":
         static_level = default_level_table().index_of(args.level)
-    result = compress_file(
-        args.src,
-        args.dst,
-        static_level=static_level,
-        block_size=args.block_size,
-        epoch_seconds=args.epoch_seconds,
-        workers=args.workers,
-        backend=args.backend,
-    )
+    try:
+        result = compress_file(
+            args.src,
+            args.dst,
+            static_level=static_level,
+            block_size=args.block_size,
+            epoch_seconds=args.epoch_seconds,
+            workers=args.workers,
+            backend=args.backend,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         f"{result.input_bytes:,} -> {result.output_bytes:,} bytes "
         f"(ratio {result.ratio:.3f}) in {result.wall_seconds:.2f}s"

@@ -21,19 +21,19 @@ and :meth:`pump` after any readiness or job completion; ``pump`` is
 idempotent and drives every transition.
 
 Identity frames (codec id 0: level NO and the stored fallback) never
-become pool jobs.  ``pump`` copies each one, header and payload, into
-one buffer of exactly its own size and checks it on the loop thread
-with the same ``decode_payload`` a pool would run; the
+become pool jobs.  ``pump`` checks each one on the loop thread, in
+place in the receive buffer, with the same ``decode_payload`` a pool
+would run, and that check's ``bytes`` is the frame's one copy; the
 plaintext CRC folds in the verified frame CRC
 (:func:`~repro.codecs.block.crc32_combine`) instead of reading the bytes
-again; and when the echo level is NO the received frame, its header
-repacked with flags 0, is the echo frame.  A compressed frame echoed at
-NO still re-encodes through the pool's caller-run rule (see
-:mod:`repro.core.procpool`).  So ``pump`` repeats its drain, parse and
-drain passes until one makes no progress, and a NO frame is checked,
-echoed and queued for sending inside a single ``pump``, which
-:meth:`Flow.handle_write` then puts on the wire with the rest of its
-turn in one ``sendmsg``.
+again; and when the echo level is NO that copy goes back under a
+freshly packed flags-0 header, the frame a NO re-encode would write.  A
+compressed frame echoed at NO still re-encodes through the pool's
+caller-run rule (see :mod:`repro.core.procpool`).  So ``pump`` repeats
+its drain, parse and drain passes until one makes no progress, and a
+NO frame is checked, echoed and queued for sending inside a single
+``pump``, which :meth:`Flow.handle_write` then puts on the wire with
+the rest of its turn in one ``sendmsg``.
 
 Ordering mirrors the pipelines in :mod:`repro.core.pipeline`: decode
 and re-encode jobs complete on whatever worker frees up first, and the
@@ -45,9 +45,9 @@ flow stops reading its socket while its one block window —
 — is full, or the pending write queue holds :data:`MAX_WRITE_BUFFER`
 bytes, which lets TCP push back on a client outrunning the shared
 codec pool without stalling anybody else's flow.  Nothing queued to
-send holds a pool slab: every buffer in the write queue is a plain
-allocation of its frame's exact size.  A job the pool refuses (closed
-pool, crashed worker) fails only its own flow.
+send holds a pool slab: an echo frame is queued as its header and its
+payload, both ``bytes`` of their exact size.  A job the pool refuses
+(closed pool, crashed worker) fails only its own flow.
 """
 
 from __future__ import annotations
@@ -60,15 +60,13 @@ from collections import deque
 from dataclasses import replace
 from enum import Enum
 from functools import partial
-from typing import Callable, Deque, Dict, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, NamedTuple, Optional, Tuple
 
 from ..codecs.base import Codec
 from ..codecs.block import (
-    HEADER,
     HEADER_SIZE,
     MAGIC,
     BlockHeader,
-    _header_fields,
     crc32_combine,
     decode_header,
     decode_payload,
@@ -129,17 +127,11 @@ class FlowState(Enum):
 
 
 class _Received(NamedTuple):
-    """A verified identity frame, held as received until drained."""
+    """A verified identity frame, held until drained."""
 
     header: BlockHeader
-    #: The whole frame, header and payload, in a buffer of its own size.
-    frame: bytearray
-    #: The decoded payload (``decode_payload``'s copy).
+    #: The payload: ``decode_payload``'s copy, the frame's only one.
     data: bytes
-
-
-#: A frame or control message queued to send.
-_Buffer = Union[bytes, bytearray]
 
 
 class Flow:
@@ -184,12 +176,12 @@ class Flow:
         self._decode_results: Dict[int, object] = {}
         self._decode_submitted = 0
         self._decode_emitted = 0
-        #: seq -> frame | BaseException (echo re-encode or send-back).
+        #: seq -> EncodedParts | BaseException (echo re-encode or send-back).
         self._encode_results: Dict[int, object] = {}
         self._encode_submitted = 0
         self._encode_emitted = 0
         #: Buffers awaiting send, in order.
-        self._out: Deque[_Buffer] = deque()
+        self._out: Deque[bytes] = deque()
         self._out_offset = 0
         self._out_bytes = 0
         self._trailer_queued = False
@@ -332,15 +324,12 @@ class Flow:
         self._default_level = level
         if self._level_from_client or self.mode != MODE_ECHO:
             return False
-        was_adaptive = self._echo_static_level is None and (
-            self.controller is None or self.controller.level_override is None
+        was_adaptive = (
+            self._echo_static_level is None and self.controller.level_override is None
         )
         before = None if was_adaptive else self.echo_level
         self._echo_static_level = None
-        if self.controller is not None:
-            self.controller.set_level_override(level)
-        else:  # defensive: echo flows always carry a controller
-            self._echo_static_level = level
+        self.controller.set_level_override(level)
         now_adaptive = level is None
         return (was_adaptive != now_adaptive) or (
             not now_adaptive and before != level
@@ -431,12 +420,14 @@ class Flow:
         room = quantum
         skip = self._out_offset
         for buf in self._out:
-            view = memoryview(buf)[skip:]
-            skip = 0
-            if view.nbytes > room:
-                view = view[:room]
-            parts.append(view)
-            room -= view.nbytes
+            size = len(buf) - skip
+            if skip or size > room:
+                # Only the turn's first and last buffers can be partial.
+                size = min(size, room)
+                buf = memoryview(buf)[skip : skip + size]
+                skip = 0
+            parts.append(buf)
+            room -= size
             if not room or len(parts) == IOV_MAX:
                 break
         if not parts:
@@ -527,12 +518,10 @@ class Flow:
             seq = self._decode_submitted
             self._decode_submitted += 1
             if header.codec_id == 0:
-                # An identity frame never becomes a pool job: the whole
-                # frame is copied out once, at its own size, and checked
-                # right here.
-                frame = self._rx[:need]
+                # An identity frame never becomes a pool job: it is
+                # checked right here, in place.
+                result = self._check_identity(header, need)
                 del self._rx[:need]
-                result = self._check_identity(header, frame)
                 with self._lock:
                     self._decode_results[seq] = result
                 continue
@@ -553,13 +542,14 @@ class Flow:
             except BaseException as exc:  # noqa: BLE001 - fails this flow only
                 self._complete(self._decode_results, seq, exc)
 
-    def _check_identity(self, header: BlockHeader, frame: bytearray) -> object:
-        """CRC- and length-check one identity frame: ``_Received`` or the error.
+    def _check_identity(self, header: BlockHeader, need: int) -> object:
+        """Check the identity frame heading ``_rx``: ``_Received`` or the error.
 
         The same ``decode_payload`` a pool's identity job runs, under
-        the same ``serve.decode`` span.
+        the same ``serve.decode`` span, on a view of the receive buffer;
+        the view is released before the caller trims the buffer.
         """
-        payload = memoryview(frame)[HEADER_SIZE:]
+        payload = memoryview(self._rx)[HEADER_SIZE:need]
         try:
             if BUS.active:
                 name = self._registry.get(0).name
@@ -569,7 +559,9 @@ class Flow:
                 data = decode_payload(header, payload, self._registry)
         except Exception as exc:  # noqa: BLE001 - fails this flow only
             return exc
-        return _Received(header, frame, data)
+        finally:
+            payload.release()
+        return _Received(header, data)
 
     # -- job completion (any pool thread) ----------------------------
 
@@ -580,7 +572,12 @@ class Flow:
         self._complete(self._decode_results, seq, exc if exc is not None else data)
 
     def _encoded(self, seq: int, exc, header, payload) -> None:
-        result = exc if exc is not None else frame_payload(header, payload).frame
+        result = exc
+        if exc is None:
+            # Parts outlive this call; a pool view does not.
+            if not isinstance(payload, bytes):
+                payload = bytes(payload)
+            result = frame_payload(header, payload, vectored=True)
         self._complete(self._encode_results, seq, result)
 
     def _complete(self, results: Dict[int, object], seq: int, result: object) -> None:
@@ -697,28 +694,24 @@ class Flow:
                 self._submit_echo(data, codec)
 
     def _echo_codec(self) -> Codec:
-        if self._echo_static_level is not None:
-            level = self._echo_static_level
-        else:
-            level = self.controller.current_level if self.controller else 0
-        return self._levels.codec(level)
+        return self._levels.codec(self.echo_level)
 
     def _send_back(self, received: _Received) -> None:
-        """Echo an identity frame as received, at the next encode seq.
+        """Echo an identity frame's payload, at the next encode seq.
 
         A NullCodec re-encode of the payload would keep its lengths and
         CRC and pack flags 0 (a stored-fallback frame arrives with flags
-        1), so the header is packed again in place exactly as that
-        re-encode packs it, and the received frame is the echo frame.
+        1), so the payload goes back under that header, freshly packed.
         """
         header = received.header
         if header.flags:
             header = replace(header, flags=0)
-        HEADER.pack_into(received.frame, 0, *_header_fields(header))
         seq = self._encode_submitted
         self._encode_submitted += 1
         with self._lock:
-            self._encode_results[seq] = received.frame
+            self._encode_results[seq] = frame_payload(
+                header, received.data, vectored=True
+            )
 
     def _submit_echo(self, data: bytes, codec: Codec) -> None:
         seq = self._encode_submitted
@@ -744,7 +737,8 @@ class Flow:
                 self.fail(f"encode-error: {result!r}")
                 return
             self.blocks_out += 1
-            self._queue(result)
+            self._queue(result.header_bytes)
+            self._queue(result.payload)
 
     def _trailer_body(self) -> dict:
         return {
@@ -781,7 +775,7 @@ class Flow:
 
     # -- helpers -----------------------------------------------------
 
-    def _queue(self, buf: _Buffer) -> None:
+    def _queue(self, buf: bytes) -> None:
         self._out.append(buf)
         self._out_bytes += len(buf)
 

@@ -349,11 +349,9 @@ class TransferServer:
     def _make_controller(self) -> Optional[FleetController]:
         """The fleet controller for the configured policy, if any.
 
-        The server feeds the controller *directly* (flow_opened /
-        observe_flow / flow_closed) rather than attaching it to the
-        telemetry bus, so running a policy neither requires telemetry
-        nor double-ingests its own events when telemetry is on; the
-        actuator runs on the loop thread.
+        The loop thread feeds the controller (flow_opened /
+        observe_flow / flow_closed), so running a policy does not
+        require telemetry; the actuator runs on the loop thread.
         """
         if self.config.policy is None:
             return None

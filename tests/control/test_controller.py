@@ -5,15 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.control import Assignment, FleetController
-from repro.telemetry.events import (
-    BufferPoolStats,
-    EventBus,
-    FleetRebalanced,
-    FlowAccepted,
-    FlowClosed,
-    FlowRates,
-    PipelineQueueDepth,
-)
+from repro.telemetry.events import EventBus, FleetRebalanced
 
 MB = 1e6
 
@@ -41,22 +33,6 @@ class TestLifecycle:
         ctl.observe_flow(9, now=5.0, level=1, app_rate=1.0)
         assert ctl.flow_count == 1
 
-    def test_attach_is_idempotent_and_detach_restores_idle_bus(self):
-        bus = EventBus()
-        ctl = make(bus=bus)
-        assert not bus.active
-        ctl.attach()
-        ctl.attach()
-        assert bus.active
-        ctl.detach()
-        assert not bus.active
-
-    def test_context_manager(self):
-        bus = EventBus()
-        with make(bus=bus):
-            assert bus.active
-        assert not bus.active
-
 
 class TestRatioHonesty:
     def test_ratio_at_level_zero_is_discarded(self):
@@ -70,57 +46,6 @@ class TestRatioHonesty:
         # Later samples at the pinned level 0 must not erase evidence.
         ctl.observe_flow(1, now=2.0, level=0, app_rate=1.0, observed_ratio=1.0)
         assert ctl.fleet_view(2.0).flows[0].observed_ratio == pytest.approx(0.97)
-
-
-class TestBusIngestion:
-    def test_events_drive_flow_state(self):
-        bus = EventBus()
-        ctl = make(bus=bus).attach()
-        bus.publish(
-            FlowAccepted(
-                ts=0.0, source="s", flow_id=1, peer="p", mode="echo", active_flows=1
-            )
-        )
-        bus.publish(
-            FlowRates(
-                ts=1.0,
-                source="s",
-                flow_id=1,
-                level=2,
-                app_rate=30 * MB,
-                app_bytes=30 * MB,
-                observed_ratio=0.4,
-            )
-        )
-        bus.publish(
-            PipelineQueueDepth(ts=1.0, source="s", depth=7, in_flight=2, workers=4)
-        )
-        bus.publish(
-            BufferPoolStats(ts=1.0, source="s", hits=1, misses=0, oversize=0, free_slabs=1)
-        )
-        fleet = ctl.fleet_view(1.0)
-        assert fleet.flows[0].app_rate == pytest.approx(30 * MB)
-        assert fleet.codec_queue_depth == 7
-        assert fleet.codec_workers == 4
-        bus.publish(
-            FlowClosed(
-                ts=2.0,
-                source="s",
-                flow_id=1,
-                mode="echo",
-                ok=True,
-                reason="completed",
-                bytes_in=1,
-                bytes_out=1,
-                app_bytes=1,
-                blocks_in=1,
-                blocks_out=1,
-                seconds=2.0,
-                active_flows=0,
-            )
-        )
-        assert ctl.flow_count == 0
-        ctl.detach()
 
 
 class TestOnTick:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import io
+import os
+import threading
 
 import pytest
 
-from repro.codecs import BlockReader
+from repro.codecs import MAX_BLOCK_LEN, BlockReader
 from repro.core import AdaptiveBlockWriter, StaticBlockWriter, default_level_table
 
 
@@ -91,8 +93,26 @@ class TestAdaptiveBlockWriter:
         assert writer.current_level_name == "NO"
 
     def test_block_size_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveBlockWriter(io.BytesIO(), block_size=0)
+        """Both writers take exactly the block sizes a reader accepts:
+        out-of-range ones fail before any encoder starts, and the
+        largest one round-trips."""
+        writers = [
+            lambda sink, **kw: AdaptiveBlockWriter(sink, clock=FakeClock(), **kw),
+            lambda sink, **kw: StaticBlockWriter(sink, 1, **kw),
+        ]
+        threads = threading.active_count()
+        for make in writers:
+            for block_size in (0, -1, MAX_BLOCK_LEN + 1):
+                with pytest.raises(ValueError, match="block_size"):
+                    make(io.BytesIO(), block_size=block_size, workers=2)
+            assert threading.active_count() == threads
+            payload = os.urandom(MAX_BLOCK_LEN)
+            buf = io.BytesIO()
+            with make(buf, block_size=MAX_BLOCK_LEN) as writer:
+                writer.write(payload)
+            assert writer.blocks_written == 1
+            buf.seek(0)
+            assert b"".join(BlockReader(buf)) == payload
 
     def test_epoch_decisions_follow_clock(self):
         buf = io.BytesIO()

@@ -96,6 +96,33 @@ class TestAdaptiveStreamProperties:
         sink.seek(0)
         assert b"".join(BlockReader(sink)) == payload
 
+    @given(
+        chunks=chunked_payload(),
+        level=st.integers(min_value=0, max_value=3),
+        block_size=st.integers(min_value=1, max_value=2048),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_adaptive_held_at_a_level_writes_the_static_bytes(
+        self, chunks, level, block_size
+    ):
+        """An adaptive writer whose first epoch never ends codes every
+        block at its initial level, so its stream is the static
+        writer's at that level, byte for byte."""
+        adaptive_sink, static_sink = io.BytesIO(), io.BytesIO()
+        adaptive = AdaptiveBlockWriter(
+            adaptive_sink,
+            block_size=block_size,
+            initial_level=level,
+            clock=lambda: 0.0,
+        )
+        static = StaticBlockWriter(static_sink, level, block_size=block_size)
+        for writer in (adaptive, static):
+            for chunk in chunks:
+                writer.write(chunk)
+            writer.close()
+        assert not adaptive.controller.trace
+        assert adaptive_sink.getvalue() == static_sink.getvalue()
+
     @given(chunks=chunked_payload())
     @settings(max_examples=60, deadline=None)
     def test_wire_overhead_bounded(self, chunks):

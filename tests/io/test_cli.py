@@ -57,6 +57,18 @@ class TestPackUnpack:
             == 0
         )
 
+    @pytest.mark.parametrize("block_size", ["0", "2097153"])
+    def test_block_size_out_of_range_exits_2(
+        self, tmp_path, sample_file, capsys, block_size
+    ):
+        """A block size no reader accepts is refused up front, not
+        written as a stream ``unpack`` cannot read."""
+        packed = tmp_path / "out.abc"
+        argv = ["pack", str(sample_file), str(packed), "--block-size", block_size]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "block_size" in err
+
     def test_workers_option_same_bytes(self, tmp_path, sample_file):
         """--workers changes scheduling, never the packed bytes."""
         serial = tmp_path / "serial.abc"

@@ -37,6 +37,7 @@ class TestChannelSpec:
         net_ch = build_channel(ChannelSpec(ChannelType.NETWORK))
         assert isinstance(net_ch, NetworkChannel)
         net_ch.close_write()
+        net_ch.dispose()
 
 
 class TestInMemoryChannel:
@@ -175,6 +176,7 @@ class TestNetworkChannel:
         ch.close_write()
         with pytest.raises(ChannelClosedError):
             ch.write_record(b"late")
+        ch.dispose()
 
     def test_eof_after_close(self):
         ch = NetworkChannel()

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.data import Compressibility, RepeatingSource
+from repro.nephele import execution
+from repro.nephele.channels import build_channel
 from repro.nephele import (
     ChannelSpec,
     ChannelType,
@@ -174,6 +178,45 @@ class TestFailureHandling:
         with pytest.raises(JobExecutionError):
             run_job(g, timeout=30)
         assert collector.records_received == 1
+
+    @pytest.mark.parametrize(
+        "channel_type", [ChannelType.FILE, ChannelType.NETWORK], ids=lambda t: t.value
+    )
+    def test_failed_consumer_leaves_no_open_channel(self, monkeypatch, channel_type):
+        """A consumer that fails before reading to the end still leaves
+        no socket or file object open, and no spill file behind."""
+        built = []
+
+        def build(spec, **kwargs):
+            built.append(build_channel(spec, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(execution, "build_channel", build)
+
+        def boom(ctx):
+            ctx.read()
+            raise RuntimeError("consumer exploded")
+
+        g = JobGraph("failed-consumer")
+        g.add_vertex(
+            "send",
+            SourceTask(
+                lambda: RepeatingSource(PAYLOAD, 10_000, Compressibility.MODERATE),
+                record_bytes=1000,
+            ),
+        )
+        g.add_vertex("recv", FunctionTask(boom))
+        spec = ChannelSpec(channel_type, compression=CompressionMode.ADAPTIVE)
+        g.connect("send", "recv", channel_type, spec)
+        with pytest.raises(JobExecutionError) as exc_info:
+            run_job(g, timeout=30)
+        assert list(exc_info.value.failures) == ["recv"]
+        (channel,) = built
+        assert channel._source.closed and channel._sink.closed
+        if channel_type is ChannelType.NETWORK:
+            assert channel._read_sock.fileno() == channel._write_sock.fileno() == -1
+        else:
+            assert not os.path.exists(channel.path)
 
     def test_timeout(self):
         import time

@@ -33,7 +33,7 @@ def payload():
     return (
         corpus.payload(Compressibility.HIGH) * 16
         + corpus.payload(Compressibility.MODERATE) * 16
-    )  # ~2 MB — tens of ms on loopback, so several 5 ms epochs close
+    )  # ~2 MB: a few ms on loopback, so several 0.1 ms epochs close
 
 
 def _settle(predicate, deadline: float = 5.0) -> bool:
@@ -51,7 +51,7 @@ def _run_echo_flow(trace_dir, payload, **config_kwargs):
             port=0,
             max_flows=4,
             codec_workers=2,
-            epoch_seconds=0.005,
+            epoch_seconds=0.0001,
             trace_dir=str(trace_dir),
             **config_kwargs,
         )
