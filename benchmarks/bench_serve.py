@@ -4,7 +4,9 @@ Standalone script (not a pytest-benchmark file): it starts one
 :class:`~repro.serve.TransferServer` and drives 1, 4 and 16 concurrent
 client flows through it, measuring aggregate and per-flow application
 throughput, then writes ``BENCH_serve.json`` and — in ``--quick`` mode
-— enforces the CI regression gate.
+— enforces the CI regression gate.  Each concurrency level runs
+:data:`SCALING_ROUNDS` times on a fresh daemon; the cell records every
+round and keeps the median one, whose throughput the gate reads.
 
 Every flow is CRC-verified end to end by :class:`~repro.serve.ServeClient`
 (the trailer carries the server's plaintext CRC32), so a passing run is
@@ -71,6 +73,10 @@ from repro.data.corpus import Compressibility, generate
 from repro.serve import ServeClient, ServeConfig, TransferServer
 
 FLOW_COUNTS = (1, 4, 16)
+
+#: Rounds per (flows, backend) cell of the scaling axis.  Every round is
+#: recorded; the cell's throughput, which the gate reads, is the median.
+SCALING_ROUNDS = 3
 
 #: Contended-fleet axis: enough flows to oversubscribe the capped pool.
 CONTROL_FLOWS = 8
@@ -147,6 +153,25 @@ def run_round(
     }
 
 
+def run_cell(data: bytes, flows: int, codec_workers: int, backend: str) -> dict:
+    """:data:`SCALING_ROUNDS` rounds of one cell: the median round, with
+    every round under ``repeats``.  Completion and failure counts cover
+    all rounds, so the correctness gate still sees each one."""
+    repeats = [
+        run_round(data, flows, codec_workers, backend) for _ in range(SCALING_ROUNDS)
+    ]
+    ranked = sorted(repeats, key=lambda r: r["aggregate_mb_per_s"])
+    cell = dict(ranked[len(ranked) // 2])
+    cell["completed"] = min(r["completed"] for r in repeats)
+    cell["errors"] = [e for r in repeats for e in r["errors"]]
+    cell["server_failed_flows"] = sum(r["server_failed_flows"] for r in repeats)
+    cell["repeats"] = [
+        {k: v for k, v in r.items() if k not in ("codec_pool", "buffer_pool")}
+        for r in repeats
+    ]
+    return cell
+
+
 def run_matrix(
     mib: int,
     codec_workers: int,
@@ -157,11 +182,12 @@ def run_matrix(
     rounds = []
     for backend in backends:
         for flows in flow_counts:
-            cell = run_round(data, flows, codec_workers, backend)
+            cell = run_cell(data, flows, codec_workers, backend)
             rounds.append(cell)
             print(
                 f"  flows={flows:3d} {cell['codec_backend']:7s}  "
-                f"aggregate {cell['aggregate_mb_per_s']:8.1f} MB/s  "
+                f"aggregate {cell['aggregate_mb_per_s']:8.1f} MB/s (median of "
+                f"{[r['aggregate_mb_per_s'] for r in cell['repeats']]})  "
                 f"wall {cell['wall_seconds']:.2f}s  "
                 f"completed {cell['completed']}/{flows}",
                 flush=True,

@@ -30,8 +30,7 @@ from __future__ import annotations
 import struct
 import threading
 import zlib
-from dataclasses import dataclass
-from typing import BinaryIO, Iterator, Optional, Union
+from typing import BinaryIO, Iterator, List, NamedTuple, Optional, Union
 
 from ..telemetry.events import BUS, BlockCompressed
 from .base import Codec
@@ -66,9 +65,8 @@ def _nbytes(data: BlockData) -> int:
     return data.nbytes if isinstance(data, memoryview) else len(data)
 
 
-@dataclass(frozen=True)
-class BlockHeader:
-    """Decoded block frame header."""
+class BlockHeader(NamedTuple):
+    """Decoded block frame header, its fields in wire order."""
 
     codec_id: int
     flags: int
@@ -81,8 +79,7 @@ class BlockHeader:
         return bool(self.flags & FLAG_STORED_FALLBACK)
 
 
-@dataclass(frozen=True)
-class EncodedBlock:
+class EncodedBlock(NamedTuple):
     """A fully framed block plus its bookkeeping numbers.
 
     ``frame`` is assembled in a single preallocated ``bytearray``,
@@ -104,16 +101,15 @@ class EncodedBlock:
         return self.header.compressed_len / self.header.uncompressed_len
 
 
-@dataclass(frozen=True)
-class EncodedParts:
+class EncodedParts(NamedTuple):
     """A framed block kept as (header bytes, payload) — never assembled.
 
     The vectored-I/O counterpart of :class:`EncodedBlock`: a sink with
     ``writev`` (e.g. :class:`~repro.io.sockets.VectoredSocketWriter`)
-    puts both parts on the wire in one ``sendmsg`` call, so the payload
-    is never copied into a contiguous frame at all.  Concatenating
-    ``header_bytes + payload`` yields exactly the bytes of the
-    corresponding :class:`EncodedBlock.frame`.
+    takes both parts in one call, so the payload is never copied into
+    a contiguous frame at all.  Concatenating ``header_bytes +
+    payload`` yields exactly the bytes of the corresponding
+    :class:`EncodedBlock.frame`.
     """
 
     header: BlockHeader
@@ -157,26 +153,9 @@ def _compress_payload(data: BlockData, codec: Codec) -> tuple:
         codec_id = 0
         flags |= FLAG_STORED_FALLBACK
     header = BlockHeader(
-        codec_id=codec_id,
-        flags=flags,
-        uncompressed_len=data_len,
-        compressed_len=_nbytes(payload),
-        crc32=zlib.crc32(payload) & 0xFFFFFFFF,
+        codec_id, flags, data_len, _nbytes(payload), zlib.crc32(payload) & 0xFFFFFFFF
     )
     return header, payload
-
-
-def _header_fields(header: BlockHeader) -> tuple:
-    """The values :data:`HEADER` packs for ``header``, in order."""
-    return (
-        MAGIC,
-        FORMAT_VERSION,
-        header.codec_id,
-        header.flags,
-        header.uncompressed_len,
-        header.compressed_len,
-        header.crc32,
-    )
 
 
 def frame_payload(
@@ -194,15 +173,14 @@ def frame_payload(
     funnels through here, whichever thread or process ran the codec, so
     the wire bytes cannot drift between paths.
     """
-    fields = _header_fields(header)
     if vectored:
         return EncodedParts(
-            header=header, header_bytes=HEADER.pack(*fields), payload=payload
+            header, HEADER.pack(MAGIC, FORMAT_VERSION, *header), payload
         )
     frame = bytearray(HEADER_SIZE + header.compressed_len)
-    HEADER.pack_into(frame, 0, *fields)
+    HEADER.pack_into(frame, 0, MAGIC, FORMAT_VERSION, *header)
     frame[HEADER_SIZE:] = payload
-    return EncodedBlock(frame=frame, header=header)
+    return EncodedBlock(frame, header)
 
 
 def encode_block(data: BlockData, codec: Codec) -> EncodedBlock:
@@ -238,6 +216,24 @@ def encode_block_parts(data: BlockData, codec: Codec) -> EncodedParts:
     return frame_payload(header, payload, vectored=True)
 
 
+def write_frames(
+    sink: BinaryIO, blocks: List[Union[EncodedBlock, EncodedParts]]
+) -> int:
+    """Put finished frames on ``sink`` in order; returns their framed bytes.
+
+    A vectored sink (one with ``writev``) takes every frame's header and
+    payload, as :class:`EncodedParts`, in one call; any other sink takes
+    each assembled :class:`EncodedBlock` frame through ``write``.
+    """
+    writev = getattr(sink, "writev", None)
+    if writev is not None:
+        writev([part for b in blocks for part in (b.header_bytes, b.payload)])
+    else:
+        for block in blocks:
+            sink.write(block.frame)
+    return sum(block.frame_len for block in blocks)
+
+
 def decode_header(raw: BlockData, *, max_len: Optional[int] = None) -> BlockHeader:
     """Parse and validate a 20-byte frame header (any byte buffer).
 
@@ -263,13 +259,7 @@ def decode_header(raw: BlockData, *, max_len: Optional[int] = None) -> BlockHead
         raise OversizedBlockError("uncompressed_len", ulen, max_len)
     if clen > max_len:
         raise OversizedBlockError("compressed_len", clen, max_len)
-    return BlockHeader(
-        codec_id=codec_id,
-        flags=flags,
-        uncompressed_len=ulen,
-        compressed_len=clen,
-        crc32=crc,
-    )
+    return BlockHeader(codec_id, flags, ulen, clen, crc)
 
 
 def verify_crc(header: BlockHeader, payload: BlockData) -> bool:
@@ -434,14 +424,17 @@ class BlockWriter:
     The codec may change between blocks — this is exactly how the
     adaptive scheme switches compression levels mid-stream.  A sink
     exposing ``writev(parts)`` (vectored writes, e.g.
-    :class:`~repro.io.sockets.VectoredSocketWriter`) receives each
-    frame as separate header/payload parts — same wire bytes, one
-    payload copy fewer.
+    :class:`~repro.io.sockets.VectoredSocketWriter`) receives frames as
+    separate header/payload parts — same wire bytes, one payload copy
+    fewer — and every frame queued by :meth:`queue_block` goes out in
+    one ``writev`` at :meth:`write_ready`.
     """
 
     def __init__(self, sink: BinaryIO) -> None:
         self._sink = sink
-        self._writev = getattr(sink, "writev", None)
+        self._vectored = getattr(sink, "writev", None) is not None
+        #: Frames framed but not yet written, in order.
+        self._queued: List[Union[EncodedBlock, EncodedParts]] = []
         self.blocks_written = 0
         self.bytes_in = 0
         self.bytes_out = 0
@@ -449,34 +442,54 @@ class BlockWriter:
     def write_block(
         self, data: BlockData, codec: Codec
     ) -> Union[EncodedBlock, EncodedParts]:
-        if self._writev is not None:
-            block = encode_block_parts(data, codec)
-            self._writev((block.header_bytes, block.payload))
-        else:
-            block = encode_block(data, codec)
-            self._sink.write(block.frame)
-        self.blocks_written += 1
-        self.bytes_in += block.header.uncompressed_len
-        self.bytes_out += block.frame_len
+        """Frame one block and put it on the sink now."""
+        block = self.queue_block(data, codec)
+        self.write_ready()
         return block
 
+    def queue_block(
+        self, data: BlockData, codec: Codec
+    ) -> Union[EncodedBlock, EncodedParts]:
+        """Frame one block; it reaches the sink at :meth:`write_ready`.
+
+        ``data`` must stay unchanged until then (the stored fallback and
+        the null codec reference it).
+        """
+        if self._vectored:
+            block = encode_block_parts(data, codec)
+        else:
+            block = encode_block(data, codec)
+        self._queued.append(block)
+        self.bytes_in += block.header.uncompressed_len
+        return block
+
+    def write_ready(self) -> None:
+        """Put every queued frame on the sink (one ``writev`` if vectored)."""
+        if self._queued:
+            blocks, self._queued = self._queued, []
+            self.bytes_out += write_frames(self._sink, blocks)
+            self.blocks_written += len(blocks)
+
     def flush(self) -> None:
-        """No-op: every block is written synchronously.
+        """Write any queued frames; every block is then on the sink.
 
         Present so the serial writer and the threaded
         :class:`~repro.core.pipeline.ParallelBlockEncoder` share one
         interface (the parallel encoder drains in-flight blocks here).
         """
+        self.write_ready()
 
     def close(self) -> None:
         """No-op counterpart of the parallel encoder's worker shutdown."""
 
     def abort(self) -> None:
-        """No-op counterpart of the parallel encoder's error teardown.
+        """Drop queued frames without writing them.
 
-        Error paths call this instead of :meth:`close` so teardown
-        never writes to a sink that is already known to be broken.
+        The counterpart of the parallel encoder's error teardown: error
+        paths call this instead of :meth:`close` so teardown never
+        writes to a sink that is already known to be broken.
         """
+        self._queued.clear()
 
 
 class BlockReader:

@@ -102,6 +102,7 @@ from ..codecs.block import (
     _compress_payload,
     decode_payload,
     frame_payload,
+    write_frames,
 )
 from ..codecs.errors import CodecError
 from ..codecs.registry import DEFAULT_REGISTRY, CodecRegistry
@@ -462,8 +463,7 @@ class ParallelBlockEncoder:
         self._sink = sink
         # Vectored sinks take (header, payload) parts and the frame is
         # never assembled; otherwise frames go out contiguous.
-        self._sink_writev = getattr(sink, "writev", None)
-        self._vectored = self._sink_writev is not None
+        self._vectored = getattr(sink, "writev", None) is not None
         self._source = source
         self._max_in_flight = max_in_flight
         self._cond = threading.Condition()
@@ -550,14 +550,13 @@ class ParallelBlockEncoder:
             return ready
 
     def _write_out(self, blocks: List[EncodedBlock]) -> None:
-        """Write finished frames to the sink (producer thread, no lock)."""
-        for block in blocks:
-            if self._vectored:
-                self._sink_writev((block.header_bytes, block.payload))
-            else:
-                self._sink.write(block.frame)
-            self.blocks_written += 1
-            self.bytes_out += block.frame_len
+        """Write finished frames to the sink (producer thread, no lock).
+
+        A vectored sink takes the whole run in one ``writev``.
+        """
+        if blocks:
+            self.bytes_out += write_frames(self._sink, blocks)
+            self.blocks_written += len(blocks)
 
     def write_block(self, data: BlockData, codec: Codec) -> None:
         """Queue ``data`` for compression with ``codec``.
@@ -592,6 +591,13 @@ class ParallelBlockEncoder:
                     workers=self._codec_pool.workers,
                 )
             )
+
+    #: Every block is queued here: frames go out as they finish, in order.
+    queue_block = write_block
+
+    def write_ready(self) -> None:
+        """Write the finished run at the emit head, without waiting."""
+        self._write_out(self._collect_ready(wait_for_head=False))
 
     def flush(self) -> None:
         """Block until every submitted block has been framed and written."""

@@ -454,13 +454,7 @@ def _worker_main(index: int, shm_name: Optional[str], slab_size: int, jobs, conn
                     codec_id, codec_blob = job[5:]
                     codec = _resolve_codec(codec_id, codec_blob, codec_cache)
                     header, payload = _compress_payload(data, codec)
-                    ht = (
-                        header.codec_id,
-                        header.flags,
-                        header.uncompressed_len,
-                        header.compressed_len,
-                        header.crc32,
-                    )
+                    ht = tuple(header)
                     clen = header.compressed_len
                     if region is not None and clen <= slab_size:
                         # Stored fallback aliases the input, which is the
@@ -699,13 +693,7 @@ class CodecProcessPool:
             )
         finally:
             _release_payload(payload)
-        ht = (
-            header.codec_id,
-            header.flags,
-            header.uncompressed_len,
-            header.compressed_len,
-            header.crc32,
-        )
+        ht = tuple(header)
         token = self._add_job(_Job("d", slab, on_done))
         self._jobs.put(("d", token, slab_index, nbytes, inline, ht, check_crc))
 

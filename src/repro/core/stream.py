@@ -100,7 +100,11 @@ class StaticBlockWriter:
     # -- writing ----------------------------------------------------
 
     def write(self, data: bytes) -> int:
-        """Accept application bytes; emit full blocks as they fill."""
+        """Accept application bytes; emit full blocks as they fill.
+
+        With the serial encoder every frame this call carves is on the
+        sink when it returns, in one ``writev`` on a vectored sink.
+        """
         if self._closed:
             raise ValueError("writer is closed")
         self._buffer.extend(data)
@@ -110,19 +114,21 @@ class StaticBlockWriter:
             # emit zero-copy views of it.  One copy total (the detach),
             # versus copy-per-block + quadratic del with the old
             # ``bytes(buf[:n]); del buf[:n]`` slicing — and the views
-            # stay valid for in-flight pipeline workers because the
-            # snapshot is immutable and referenced by each view.
+            # stay valid for queued frames and in-flight pipeline
+            # workers because the snapshot is immutable and referenced
+            # by each view.
             cut = buffered - (buffered % self.block_size)
             carved = bytes(memoryview(self._buffer)[:cut])
             del self._buffer[:cut]
             with memoryview(carved) as view:
                 for offset in range(0, cut, self.block_size):
                     self._emit(view[offset : offset + self.block_size])
+            self._writer.write_ready()
         return len(data)
 
     def _emit(self, block: BlockData) -> None:
-        """Frame one carved block at the current level."""
-        self._writer.write_block(block, self.levels.codec(self.level))
+        """Queue one carved block, framed at the current level."""
+        self._writer.queue_block(block, self.levels.codec(self.level))
 
     def flush(self) -> None:
         """Emit any buffered partial block and drain in-flight frames."""
@@ -167,10 +173,9 @@ class AdaptiveBlockWriter(StaticBlockWriter):
     A :class:`StaticBlockWriter` whose level the controller re-decides
     every ``epoch_seconds`` of clock time, based on the achieved
     application data rate.  ``workers`` and ``backend`` behave as
-    there; with a parallel encoder the controller still records
-    uncompressed bytes at submission time, so level decisions are
-    unchanged, and a level switch takes effect on subsequently
-    *submitted* blocks.
+    there; with either encoder the controller records uncompressed
+    bytes when a block is submitted, and a level switch takes effect
+    on subsequently *submitted* blocks.
 
     The clock is injectable so tests can drive time deterministically.
     """
@@ -227,9 +232,9 @@ class AdaptiveBlockWriter(StaticBlockWriter):
         super()._emit(block)
         # The application data rate counts *uncompressed* bytes — "the
         # data rate experienced by the application before compressing
-        # the data" (Section I).  With a parallel encoder this happens
-        # at submission, so the controller sees bytes as the
-        # application hands them over, not when frames drain.
+        # the data" (Section I).  This happens at submission, so the
+        # controller sees bytes as the application hands them over, not
+        # when frames reach the sink.
         self.controller.record(block.nbytes if isinstance(block, memoryview) else len(block))
         record = self.controller.poll(self._clock())
         # Per-epoch stream progress: cumulative bytes in/out and the

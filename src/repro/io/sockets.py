@@ -32,6 +32,7 @@ and kernel calls remain serialised.
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 import time
@@ -57,6 +58,12 @@ DEFAULT_ACCEPT_TIMEOUT = 30.0
 
 #: Default listen(2) backlog for listeners opened by this module.
 DEFAULT_BACKLOG = 128
+
+#: Most buffers one ``sendmsg`` may carry on this platform.
+try:
+    IOV_MAX = max(1, os.sysconf("SC_IOV_MAX"))
+except (AttributeError, ValueError, OSError):  # pragma: no cover - platform-dependent
+    IOV_MAX = 16
 
 
 def open_listener(
@@ -97,10 +104,11 @@ class VectoredSocketWriter:
     """File-like socket sink with vectored (``sendmsg``) frame writes.
 
     Replaces ``socket.makefile("wb")`` on the sender's hot path: the
-    block writers detect :meth:`writev` and hand over each frame as
-    separate ``(header, payload)`` parts, which go to the kernel in one
-    ``sendmsg`` call — the payload is never copied into a contiguous
-    frame in userspace.  ``write`` is the compatible scalar fallback.
+    block writers detect :meth:`writev` and hand over each run of
+    frames as separate header and payload parts, which go to the kernel
+    in as few ``sendmsg`` calls as the platform's :data:`IOV_MAX`
+    allows — the payload is never copied into a contiguous frame in
+    userspace.  ``write`` is the compatible scalar fallback.
 
     The writer does not own the socket; ``close`` is a no-op so the
     transfer's teardown ordering (writer, then socket) stays unchanged.
@@ -117,26 +125,21 @@ class VectoredSocketWriter:
         return n
 
     def writev(self, parts) -> int:
-        """Send all ``parts`` (buffers) in as few syscalls as possible.
+        """Send all ``parts`` (buffers), at most :data:`IOV_MAX` per ``sendmsg``.
 
-        One ``sendmsg`` covers the whole frame in the common case; a
-        short write (possible under a send timeout) resumes from the
-        first unsent byte.
+        A short send (the socket buffer filled, or a send timeout)
+        resumes from the first unsent byte.
         """
         buffers = [memoryview(p) for p in parts]
         total = sum(b.nbytes for b in buffers)
-        while buffers:
-            sent = self._sock.sendmsg(buffers)
-            pending = []
-            for buf in buffers:
-                if sent >= buf.nbytes:
-                    sent -= buf.nbytes
-                elif sent:
-                    pending.append(buf[sent:])
-                    sent = 0
-                else:
-                    pending.append(buf)
-            buffers = pending
+        first = 0
+        while first < len(buffers):
+            sent = self._sock.sendmsg(buffers[first : first + IOV_MAX])
+            while first < len(buffers) and sent >= buffers[first].nbytes:
+                sent -= buffers[first].nbytes
+                first += 1
+            if sent:
+                buffers[first] = buffers[first][sent:]
         self.bytes_sent += total
         return total
 

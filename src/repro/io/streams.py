@@ -52,13 +52,18 @@ def compress_file(
     exactly like the channel integration.  ``workers`` > 1 compresses
     blocks on a thread pipeline with byte-identical output;
     ``backend="process"`` uses worker processes instead (true
-    multi-core scaling, still byte-identical).
+    multi-core scaling, still byte-identical).  Arguments the writer
+    refuses create no ``dst_path``, and a pack that fails after it is
+    created removes the partial file.
     """
     t0 = clock()
-    with open(src_path, "rb") as src, open(dst_path, "wb") as dst:
+    with open(src_path, "rb") as src:
+        # The writer checks its arguments before the destination exists,
+        # so a refused pack leaves no file; it writes through ``sink``.
+        sink = _Sink()
         if static_level is None:
             writer = AdaptiveBlockWriter(
-                dst,
+                sink,
                 levels,
                 block_size=block_size,
                 epoch_seconds=epoch_seconds,
@@ -69,24 +74,38 @@ def compress_file(
             )
         else:
             writer = StaticBlockWriter(
-                dst,
+                sink,
                 static_level,
                 levels,
                 block_size=block_size,
                 workers=workers,
                 backend=backend,
             )
-        while True:
-            chunk = src.read(block_size)
-            if not chunk:
-                break
-            writer.write(chunk)
-        writer.close()
+        try:
+            with open(dst_path, "wb") as dst:
+                sink.write = dst.write
+                while True:
+                    chunk = src.read(block_size)
+                    if not chunk:
+                        break
+                    writer.write(chunk)
+                writer.close()
+        except BaseException:
+            writer.abort()
+            if sink.write is not None:  # a partial destination exists
+                os.unlink(dst_path)
+            raise
     return FileCompressionResult(
         input_bytes=writer.bytes_in,
         output_bytes=os.path.getsize(dst_path),
         wall_seconds=clock() - t0,
     )
+
+
+class _Sink:
+    """The writer's sink, its ``write`` bound to the destination once open."""
+
+    write: Optional[Callable[[bytes], int]] = None
 
 
 def decompress_file(

@@ -121,6 +121,14 @@ class Channel:
     def read_record(self) -> Optional[bytes]:
         raise NotImplementedError
 
+    def close_read(self) -> None:
+        """The reader gives up: a writer blocked on it fails at once.
+
+        The execution engine calls this for the inputs of a task that
+        failed.  A file channel's writer never waits on its reader, so
+        the default does nothing.  Idempotent.
+        """
+
     def dispose(self) -> None:
         """Release every socket and file object.  Idempotent."""
 
@@ -141,16 +149,33 @@ class InMemoryChannel(Channel):
         self.spec = spec or ChannelSpec(ChannelType.IN_MEMORY)
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.spec.buffer_records)
         self._write_closed = False
+        self._read_closed = False
 
     def write_record(self, record: bytes) -> None:
         if self._write_closed:
             raise ChannelClosedError("channel closed for writing")
+        if self._read_closed:
+            raise ChannelClosedError("channel closed for reading")
         self._queue.put(bytes(record))
 
     def close_write(self) -> None:
         if not self._write_closed:
             self._write_closed = True
-            self._queue.put(self._EOF)
+            if not self._read_closed:
+                self._queue.put(self._EOF)
+
+    def close_read(self) -> None:
+        """Refuse further records and drop the buffered ones.
+
+        The flag is set before the queue drains, so a writer blocked in
+        ``put`` wakes up, and its next record is refused.
+        """
+        self._read_closed = True
+        while True:
+            try:
+                self._queue.get_nowait()
+            except queue.Empty:
+                return
 
     def read_record(self) -> Optional[bytes]:
         item = self._queue.get()
@@ -310,14 +335,14 @@ class NetworkChannel(Channel):
             block = self._reader.read_block()
             if block is None:
                 self._decoder.assert_empty()
-                self._close_read()
+                self.close_read()
                 return None
             self._decoder.feed(block)
 
-    def _close_read(self) -> None:
+    def close_read(self) -> None:
+        """Close the read end; a writer blocked in ``send`` gets EPIPE."""
         if not self._read_closed:
-            self._source.close()
-            self._read_sock.close()
+            _close_all(self._source, self._read_sock)
             self._read_closed = True
 
     def dispose(self) -> None:

@@ -5,8 +5,10 @@ VMs; threads preserve the concurrency structure, and network channels
 still move bytes through real kernel sockets).  Channels are
 instantiated per edge from their :class:`~repro.nephele.channels.ChannelSpec`;
 output channels are closed automatically when a task returns, which
-propagates end-of-stream downstream.  After a run, successful or not,
-every channel is disposed, so none holds a socket or file object.
+propagates end-of-stream downstream, and the input channels of a task
+that fails are closed for reading, so its producers fail at once.
+After a run, successful or not, every channel is disposed, so none
+holds a socket or file object.
 """
 
 from __future__ import annotations
@@ -110,6 +112,10 @@ class ExecutionEngine:
             except BaseException as exc:  # noqa: BLE001 - reported to caller
                 logger.warning("task %r failed: %r", vertex.name, exc)
                 failures[vertex.name] = exc
+                # Nothing reads these inputs any more: a producer blocked
+                # on one fails now instead of at the job timeout.
+                for e in vertex.inputs:
+                    channels[id(e)].close_read()
             finally:
                 for e in vertex.outputs:
                     try:
@@ -131,7 +137,10 @@ class ExecutionEngine:
             thread.join(remaining)
             if thread.is_alive():
                 raise JobExecutionError(
-                    {thread.name: TimeoutError(f"task did not finish in {timeout}s")}
+                    {
+                        **failures,
+                        thread.name: TimeoutError(f"task did not finish in {timeout}s"),
+                    }
                 )
         wall = time.monotonic() - t0
 

@@ -36,6 +36,7 @@ from ..codecs.block import (
     decode_header,
     decode_payload,
 )
+from ..codecs.errors import CodecError
 from ..codecs.registry import DEFAULT_REGISTRY
 from ..core.levels import CompressionLevelTable, default_level_table
 from ..core.stream import AdaptiveBlockWriter, StaticBlockWriter
@@ -95,48 +96,73 @@ class FlowResult:
 
 
 class _SocketBuf:
-    """Tiny buffered reader over a blocking socket."""
+    """Buffered reader over a blocking socket, in one reused buffer.
+
+    ``recv_into`` fills a :data:`_CHUNK`-byte buffer, grown only for a
+    frame larger than that, and frames are parsed where they landed:
+    :meth:`read_exact` returns a view that stays valid until the next
+    read.  Unread bytes move to the front only when a frame would run
+    past the end of the buffer.
+    """
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
-        self._buf = bytearray()
+        self._buf = bytearray(_CHUNK)
+        self._view = memoryview(self._buf)
+        self._start = 0  #: first unread byte
+        self._end = 0  #: one past the last received byte
         self.total_read = 0
 
-    def _fill(self) -> bool:
-        chunk = self._sock.recv(_CHUNK)
-        if not chunk:
+    def _fill(self, need: int) -> bool:
+        """Receive more bytes, with room for ``need`` unread; False at EOF."""
+        have = self._end - self._start
+        if self._start + need > len(self._buf):
+            if need > len(self._buf):
+                buf = bytearray(max(need, 2 * len(self._buf)))
+                buf[:have] = self._view[self._start : self._end]
+                self._buf, self._view = buf, memoryview(buf)
+            else:
+                self._view[:have] = self._view[self._start : self._end]
+            self._start, self._end = 0, have
+        got = self._sock.recv_into(self._view[self._end :])
+        if not got:
             return False
-        self._buf.extend(chunk)
-        self.total_read += len(chunk)
+        self._end += got
+        self.total_read += got
+        return True
+
+    def _ensure(self, n: int) -> bool:
+        """Hold at least ``n`` unread bytes; False if the peer closed first."""
+        while self._end - self._start < n:
+            if not self._fill(n):
+                return False
         return True
 
     def peek(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            if not self._fill():
-                break
-        return bytes(self._buf[:n])
+        self._ensure(n)
+        return bytes(self._view[self._start : min(self._start + n, self._end)])
 
-    def read_exact(self, n: int, what: str) -> bytes:
-        while len(self._buf) < n:
-            if not self._fill():
-                raise ServeProtocolError(
-                    f"connection closed mid-{what} ({len(self._buf)}/{n} bytes)"
-                )
-        out = bytes(self._buf[:n])
-        del self._buf[:n]
-        return out
+    def read_exact(self, n: int, what: str) -> memoryview:
+        """The next ``n`` bytes, as a view valid until the next read."""
+        if not self._ensure(n):
+            raise ServeProtocolError(
+                f"connection closed mid-{what} ({self._end - self._start}/{n} bytes)"
+            )
+        start = self._start
+        self._start += n
+        return self._view[start : start + n]
 
     def read_control(self, what: str) -> Dict[str, object]:
         while True:
             try:
-                parsed = parse_control(self._buf)
+                parsed = parse_control(self._view[self._start : self._end])
             except ProtocolError as exc:
                 raise ServeProtocolError(f"bad {what}: {exc}") from exc
             if parsed is not None:
                 body, consumed = parsed
-                del self._buf[:consumed]
+                self._start += consumed
                 return body
-            if not self._fill():
+            if not self._fill(self._end - self._start + 1):
                 raise ServeProtocolError(f"connection closed before {what}")
 
 
@@ -370,10 +396,13 @@ class ServeClient:
             if not prefix:
                 raise ServeProtocolError("connection closed before trailer")
             if prefix.startswith(MAGIC):
-                raw = buf.read_exact(HEADER_SIZE, "block header")
-                header = decode_header(raw)
-                payload = buf.read_exact(header.compressed_len, "block payload")
-                data = decode_payload(header, payload, DEFAULT_REGISTRY)
+                try:
+                    header = decode_header(buf.read_exact(HEADER_SIZE, "block header"))
+                    payload = buf.read_exact(header.compressed_len, "block payload")
+                    # The frame's one copy: decoded out of the read buffer.
+                    data = decode_payload(header, payload, DEFAULT_REGISTRY)
+                except CodecError as exc:
+                    raise ServeProtocolError(f"bad echo frame: {exc!r}") from exc
                 if header.codec_id == 0:
                     # Verified above: the frame CRC covers exactly data.
                     crc = crc32_combine(crc, header.crc32, len(data))

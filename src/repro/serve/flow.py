@@ -29,9 +29,13 @@ plaintext CRC folds in the verified frame CRC
 again; and when the echo level is NO that copy goes back under a
 freshly packed flags-0 header, the frame a NO re-encode would write.  A
 compressed frame echoed at NO still re-encodes through the pool's
-caller-run rule (see :mod:`repro.core.procpool`).  So ``pump`` repeats
-its drain, parse and drain passes until one makes no progress, and a
-NO frame is checked, echoed and queued for sending inside a single
+caller-run rule (see :mod:`repro.core.procpool`).  An identity frame
+that is next in decode order is taken at once, with no result entry
+and no lock, and its NO echo goes straight onto the write queue when it
+is next in encode order; a frame behind a pending pool job waits its
+turn in the ordered results like any other.  So ``pump`` repeats its
+drain, parse and drain passes until one makes no progress, and a NO
+frame is checked, echoed and queued for sending inside a single
 ``pump``, which :meth:`Flow.handle_write` then puts on the wire with
 the rest of its turn in one ``sendmsg``.
 
@@ -52,12 +56,10 @@ payload, both ``bytes`` of their exact size.  A job the pool refuses
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import zlib
 from collections import deque
-from dataclasses import replace
 from enum import Enum
 from functools import partial
 from typing import Callable, Deque, Dict, NamedTuple, Optional, Tuple
@@ -67,6 +69,7 @@ from ..codecs.block import (
     HEADER_SIZE,
     MAGIC,
     BlockHeader,
+    EncodedParts,
     crc32_combine,
     decode_header,
     decode_payload,
@@ -79,6 +82,7 @@ from ..core.controller import AdaptiveController
 from ..core.levels import CompressionLevelTable
 from ..core.pipeline import CodecPool
 from ..core.procpool import _is_identity
+from ..io.sockets import IOV_MAX
 from ..telemetry import spans
 from ..telemetry.events import BUS, TransferProgress
 from .protocol import (
@@ -109,12 +113,6 @@ WRITE_QUANTUM = 256 * 1024
 
 #: Most bytes one :meth:`Flow.handle_read` takes off the socket.
 RECV_CHUNK = 256 * 1024
-
-#: Most buffers one ``sendmsg`` may carry on this platform.
-try:
-    IOV_MAX = max(1, os.sysconf("SC_IOV_MAX"))
-except (AttributeError, ValueError, OSError):  # pragma: no cover - platform-dependent
-    IOV_MAX = 16
 
 
 class FlowState(Enum):
@@ -505,7 +503,7 @@ class Flow:
     # -- frame parsing / decode submission ---------------------------
 
     def _parse_frames(self) -> None:
-        while self._window_open:
+        while self._window_open and self.state is FlowState.STREAMING:
             have = len(self._rx)
             if have < HEADER_SIZE:
                 if have and not MAGIC.startswith(bytes(self._rx[: len(MAGIC)])):
@@ -519,11 +517,16 @@ class Flow:
             self._decode_submitted += 1
             if header.codec_id == 0:
                 # An identity frame never becomes a pool job: it is
-                # checked right here, in place.
+                # checked right here, in place, and taken at once unless
+                # a pool job ahead of it is still decoding.
                 result = self._check_identity(header, need)
                 del self._rx[:need]
-                with self._lock:
-                    self._decode_results[seq] = result
+                if seq == self._decode_emitted:
+                    self._decode_emitted += 1
+                    self._take_decoded(result)
+                else:
+                    with self._lock:
+                        self._decode_results[seq] = result
                 continue
             payload = self._buffer_pool.acquire(header.compressed_len)
             payload.view[:] = memoryview(self._rx)[HEADER_SIZE:need]
@@ -651,46 +654,50 @@ class Flow:
                 self.fail(f"truncated-frame-at-eof ({len(self._rx)} bytes)")
 
     def _drain_decodes(self) -> None:
-        while True:
+        while self.decode_in_flight and self.state is not FlowState.CLOSED:
             with self._lock:
                 if self._decode_emitted not in self._decode_results:
                     return
                 result = self._decode_results.pop(self._decode_emitted)
             self._decode_emitted += 1
-            if isinstance(result, BaseException):
-                self.fail(f"decode-error: {result!r}")
-                return
-            received = result if isinstance(result, _Received) else None
-            if received is not None:
-                data = received.data
-                # The verified frame CRC covers exactly these bytes.
-                self.crc32 = crc32_combine(self.crc32, received.header.crc32, len(data))
-            else:
-                data = result  # type: ignore[assignment]
-                self.crc32 = zlib.crc32(data, self.crc32) & 0xFFFFFFFF
-            self.blocks_in += 1
-            self.app_bytes += len(data)
-            if self.controller is not None:
-                self.controller.record(len(data))
-                self.controller.poll(self._clock())
-            if BUS.active and self.app_bytes >= self._next_progress:
-                self._next_progress = self.app_bytes + PROGRESS_EVERY_BYTES
-                BUS.publish(
-                    TransferProgress(
-                        ts=BUS.now(),
-                        source=f"serve.flow{self.flow_id}",
-                        bytes_in=self.wire_bytes_in,
-                        bytes_out=self.bytes_out,
-                        ratio=self.wire_bytes_in / self.app_bytes
-                        if self.app_bytes
-                        else 1.0,
-                    )
+            self._take_decoded(result)
+
+    def _take_decoded(self, result: object) -> None:
+        """Account the next decode result in order; echo it in echo mode."""
+        if isinstance(result, BaseException):
+            self.fail(f"decode-error: {result!r}")
+            return
+        received = result if isinstance(result, _Received) else None
+        if received is not None:
+            data = received.data
+            # The verified frame CRC covers exactly these bytes.
+            self.crc32 = crc32_combine(self.crc32, received.header.crc32, len(data))
+        else:
+            data = result  # type: ignore[assignment]
+            self.crc32 = zlib.crc32(data, self.crc32) & 0xFFFFFFFF
+        self.blocks_in += 1
+        self.app_bytes += len(data)
+        if self.controller is not None:
+            self.controller.record(len(data))
+            self.controller.poll(self._clock())
+        if BUS.active and self.app_bytes >= self._next_progress:
+            self._next_progress = self.app_bytes + PROGRESS_EVERY_BYTES
+            BUS.publish(
+                TransferProgress(
+                    ts=BUS.now(),
+                    source=f"serve.flow{self.flow_id}",
+                    bytes_in=self.wire_bytes_in,
+                    bytes_out=self.bytes_out,
+                    ratio=self.wire_bytes_in / self.app_bytes
+                    if self.app_bytes
+                    else 1.0,
                 )
-            if self.mode == MODE_ECHO:
-                codec = self._echo_codec()
-                if received is not None and _is_identity(codec):
-                    self._send_back(received)
-                    continue
+            )
+        if self.mode == MODE_ECHO:
+            codec = self._echo_codec()
+            if received is not None and _is_identity(codec):
+                self._send_back(received)
+            else:
                 self._submit_echo(data, codec)
 
     def _echo_codec(self) -> Codec:
@@ -705,13 +712,17 @@ class Flow:
         """
         header = received.header
         if header.flags:
-            header = replace(header, flags=0)
+            header = header._replace(flags=0)
+        block = frame_payload(header, received.data, vectored=True)
         seq = self._encode_submitted
         self._encode_submitted += 1
-        with self._lock:
-            self._encode_results[seq] = frame_payload(
-                header, received.data, vectored=True
-            )
+        if seq == self._encode_emitted:
+            # Nothing ahead of it in encode order: queue it to send now.
+            self._encode_emitted += 1
+            self._queue_frame(block)
+        else:
+            with self._lock:
+                self._encode_results[seq] = block
 
     def _submit_echo(self, data: bytes, codec: Codec) -> None:
         seq = self._encode_submitted
@@ -727,7 +738,7 @@ class Flow:
             self._complete(self._encode_results, seq, exc)
 
     def _drain_encodes(self) -> None:
-        while True:
+        while self.encode_in_flight:
             with self._lock:
                 if self._encode_emitted not in self._encode_results:
                     return
@@ -736,9 +747,7 @@ class Flow:
             if isinstance(result, BaseException):
                 self.fail(f"encode-error: {result!r}")
                 return
-            self.blocks_out += 1
-            self._queue(result.header_bytes)
-            self._queue(result.payload)
+            self._queue_frame(result)
 
     def _trailer_body(self) -> dict:
         return {
@@ -778,6 +787,12 @@ class Flow:
     def _queue(self, buf: bytes) -> None:
         self._out.append(buf)
         self._out_bytes += len(buf)
+
+    def _queue_frame(self, block: EncodedParts) -> None:
+        """Queue one echo frame's header and payload to send."""
+        self.blocks_out += 1
+        self._queue(block.header_bytes)
+        self._queue(block.payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

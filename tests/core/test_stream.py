@@ -173,3 +173,54 @@ class TestStaticBlockWriter:
         with StaticBlockWriter(z_buf, 1, block_size=1024) as w:
             w.write(compressible)
         assert len(z_buf.getvalue()) < len(raw_buf.getvalue()) / 5
+
+
+class CountingVectoredSink:
+    """A vectored sink that records the buffer count of every ``writev``."""
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+        self.writev_buffers: list = []
+
+    def write(self, data) -> int:
+        raise AssertionError("a vectored sink takes frames through writev")
+
+    def writev(self, parts) -> int:
+        parts = list(parts)
+        self.writev_buffers.append(len(parts))
+        for part in parts:
+            self.data += part
+        return sum(memoryview(part).nbytes for part in parts)
+
+
+class TestVectoredSends:
+    """The serial encoder puts every frame one ``write`` carves on a
+    vectored sink in one ``writev``, before ``write`` returns."""
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["static", "adaptive"])
+    def test_one_writev_per_write_call(self, adaptive):
+        sink = CountingVectoredSink()
+        if adaptive:
+            writer = AdaptiveBlockWriter(sink, block_size=16 * 1024, clock=FakeClock())
+        else:
+            writer = StaticBlockWriter(sink, 0, block_size=16 * 1024)
+        payload = bytes(range(256)) * 1024  # 256 KiB: 16 blocks
+        writer.write(payload)
+        assert sink.writev_buffers == [32]  # header and payload per frame
+        assert writer.blocks_written == 16
+        assert writer.bytes_out == len(sink.data)
+        assert b"".join(BlockReader(io.BytesIO(bytes(sink.data)))) == payload
+        writer.write(b"tail")  # no full block: nothing to send
+        assert sink.writev_buffers == [32]
+        writer.close()
+        assert sink.writev_buffers == [32, 2]
+        assert b"".join(BlockReader(io.BytesIO(bytes(sink.data)))) == payload + b"tail"
+
+    def test_abort_drops_nothing_already_sent(self):
+        sink = CountingVectoredSink()
+        writer = StaticBlockWriter(sink, 1, block_size=1024)
+        writer.write(b"z" * 4096 + b"partial")
+        sent = bytes(sink.data)
+        writer.abort()
+        assert bytes(sink.data) == sent
+        assert b"".join(BlockReader(io.BytesIO(sent))) == b"z" * 4096

@@ -23,6 +23,27 @@ class SteppingClock:
         return self.now
 
 
+class VectoredSink:
+    """An in-memory sink with ``writev``, as a socket writer has."""
+
+    def __init__(self) -> None:
+        self._data = bytearray()
+
+    def write(self, data) -> int:
+        self._data += data
+        return len(data)
+
+    def writev(self, parts) -> int:
+        return sum(self.write(part) for part in parts)
+
+    def getvalue(self) -> bytes:
+        return bytes(self._data)
+
+
+def make_sink(vectored: bool):
+    return VectoredSink() if vectored else io.BytesIO()
+
+
 @st.composite
 def chunked_payload(draw):
     """A payload split into arbitrary chunks."""
@@ -42,16 +63,18 @@ class TestAdaptiveStreamProperties:
         block_size=st.integers(min_value=16, max_value=2048),
         clock_step=st.floats(min_value=0.001, max_value=0.2),
         epoch_seconds=st.floats(min_value=0.01, max_value=1.0),
+        vectored=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
     def test_roundtrip_any_chunking_and_timing(
-        self, chunks, block_size, clock_step, epoch_seconds
+        self, chunks, block_size, clock_step, epoch_seconds, vectored
     ):
         """Whatever the chunking, block size and epoch timing (and thus
-        whatever level changes happen mid-stream), the reader restores
-        the exact byte stream."""
+        whatever level changes happen mid-stream), and whether the sink
+        takes frames through ``write`` or ``writev``, the reader
+        restores the exact byte stream."""
         payload = b"".join(chunks)
-        sink = io.BytesIO()
+        sink = make_sink(vectored)
         writer = AdaptiveBlockWriter(
             sink,
             block_size=block_size,
@@ -62,8 +85,7 @@ class TestAdaptiveStreamProperties:
             writer.write(chunk)
         writer.close()
 
-        sink.seek(0)
-        assert b"".join(BlockReader(sink)) == payload
+        assert b"".join(BlockReader(io.BytesIO(sink.getvalue()))) == payload
 
     @given(
         chunks=chunked_payload(),
@@ -84,31 +106,33 @@ class TestAdaptiveStreamProperties:
         chunks=chunked_payload(),
         level=st.integers(min_value=0, max_value=3),
         block_size=st.integers(min_value=16, max_value=2048),
+        vectored=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_static_writer_roundtrip(self, chunks, level, block_size):
+    def test_static_writer_roundtrip(self, chunks, level, block_size, vectored):
         payload = b"".join(chunks)
-        sink = io.BytesIO()
+        sink = make_sink(vectored)
         writer = StaticBlockWriter(sink, level, block_size=block_size)
         for chunk in chunks:
             writer.write(chunk)
         writer.close()
-        sink.seek(0)
-        assert b"".join(BlockReader(sink)) == payload
+        assert b"".join(BlockReader(io.BytesIO(sink.getvalue()))) == payload
 
     @given(
         chunks=chunked_payload(),
         level=st.integers(min_value=0, max_value=3),
         block_size=st.integers(min_value=1, max_value=2048),
+        vectored=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
     def test_adaptive_held_at_a_level_writes_the_static_bytes(
-        self, chunks, level, block_size
+        self, chunks, level, block_size, vectored
     ):
         """An adaptive writer whose first epoch never ends codes every
         block at its initial level, so its stream is the static
-        writer's at that level, byte for byte."""
-        adaptive_sink, static_sink = io.BytesIO(), io.BytesIO()
+        writer's at that level, byte for byte — and, on a vectored
+        sink, the same bytes a plain file gets."""
+        adaptive_sink, static_sink = make_sink(vectored), io.BytesIO()
         adaptive = AdaptiveBlockWriter(
             adaptive_sink,
             block_size=block_size,

@@ -69,6 +69,46 @@ class TestPackUnpack:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "block_size" in err
 
+    @pytest.mark.parametrize("block_size", ["0", "2097153"])
+    def test_refused_pack_leaves_no_output_file(
+        self, tmp_path, sample_file, block_size
+    ):
+        """The writer checks its arguments before the destination is
+        created, so a refused pack neither creates nor truncates it."""
+        packed = tmp_path / "out.abc"
+        argv = ["pack", str(sample_file), str(packed), "--block-size", block_size]
+        assert main(argv) == 2
+        assert not packed.exists()
+        packed.write_bytes(b"an earlier archive")
+        assert main(argv) == 2
+        assert packed.read_bytes() == b"an earlier archive"
+
+    def test_failed_pack_removes_partial_output(
+        self, tmp_path, sample_file, monkeypatch
+    ):
+        """A pack that fails after the destination exists (here the disk
+        fills on the second write) removes the partial file."""
+        import errno
+
+        from repro.core.stream import StaticBlockWriter
+
+        write = StaticBlockWriter.write
+        calls = []
+
+        def filling_disk(self, data):
+            calls.append(len(data))
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(self, data)
+
+        monkeypatch.setattr(StaticBlockWriter, "write", filling_disk)
+        packed = tmp_path / "out.abc"
+        argv = ["pack", str(sample_file), str(packed), "--block-size", "4096"]
+        with pytest.raises(OSError, match="No space left"):
+            main(argv + ["--level", "LIGHT"])
+        assert len(calls) == 2
+        assert not packed.exists()
+
     def test_workers_option_same_bytes(self, tmp_path, sample_file):
         """--workers changes scheduling, never the packed bytes."""
         serial = tmp_path / "serial.abc"

@@ -128,6 +128,75 @@ class TestVectoredSocketWriter:
         writer.close()  # no-ops; the socket stays usable
 
 
+class _SendmsgCounter:
+    """A real socket whose ``sendmsg`` calls record their buffer counts."""
+
+    def __init__(self, sock) -> None:
+        self._sock = sock
+        self.buffers_per_call: list = []
+
+    def sendmsg(self, buffers) -> int:
+        self.buffers_per_call.append(len(buffers))
+        return self._sock.sendmsg(buffers)
+
+
+class TestVectoredSocketWriterIovMax:
+    def test_one_write_of_one_byte_blocks_splits_at_iov_max(self):
+        """64 KiB at ``block_size=1`` is 65 536 frames, 131 072 buffers in
+        one ``writev``: each ``sendmsg`` carries at most IOV_MAX of
+        them, and the peer reads back the exact serial stream."""
+        import io
+        import socket as socket_module
+        import threading
+
+        from repro.core import StaticBlockWriter
+        from repro.io.sockets import IOV_MAX
+
+        payload = bytes(range(256)) * 256  # 64 KiB
+        expected = io.BytesIO()
+        with StaticBlockWriter(expected, 0, block_size=1) as reference:
+            reference.write(payload)
+
+        left, right = socket_module.socketpair()
+        received = bytearray()
+
+        def drain() -> None:
+            while True:
+                chunk = right.recv(1 << 16)
+                if not chunk:
+                    return
+                received.extend(chunk)
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        try:
+            sock = _SendmsgCounter(left)
+            sink = VectoredSocketWriter(sock)
+            writev_sizes = []
+            writev = sink.writev
+
+            def counting_writev(parts):
+                parts = list(parts)
+                writev_sizes.append(len(parts))
+                return writev(parts)
+
+            sink.writev = counting_writev
+            writer = StaticBlockWriter(sink, 0, block_size=1)
+            writer.write(payload)
+            assert writev_sizes == [2 * len(payload)]
+            writer.close()
+            left.shutdown(socket_module.SHUT_WR)
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+        finally:
+            left.close()
+            right.close()
+        assert max(sock.buffers_per_call) <= IOV_MAX
+        assert len(sock.buffers_per_call) >= 2 * len(payload) // IOV_MAX
+        assert bytes(received) == expected.getvalue()
+        assert sink.bytes_sent == len(expected.getvalue())
+
+
 class TestSocketSource:
     def test_readinto_and_drain(self):
         import socket as socket_module

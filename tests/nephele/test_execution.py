@@ -218,6 +218,43 @@ class TestFailureHandling:
         else:
             assert not os.path.exists(channel.path)
 
+    @pytest.mark.parametrize(
+        "channel_type",
+        [ChannelType.NETWORK, ChannelType.IN_MEMORY],
+        ids=lambda t: t.value,
+    )
+    def test_failed_consumer_fails_its_blocked_producer_at_once(self, channel_type):
+        """A consumer that fails before reading closes its input for
+        reading: the producer, blocked with 64 MiB still to send, fails
+        at once instead of at the job timeout, the consumer's error is
+        reported, and no task thread is left behind."""
+        import threading
+        import time
+
+        def boom(ctx):
+            raise RuntimeError("consumer exploded")
+
+        g = JobGraph("stranded-producer")
+        g.add_vertex(
+            "send",
+            SourceTask(
+                lambda: RepeatingSource(PAYLOAD, 64 << 20, Compressibility.MODERATE),
+                record_bytes=1000,
+            ),
+        )
+        g.add_vertex("recv", FunctionTask(boom))
+        g.connect("send", "recv", channel_type, ChannelSpec(channel_type))
+        t0 = time.monotonic()
+        with pytest.raises(JobExecutionError) as exc_info:
+            run_job(g, timeout=30)
+        assert time.monotonic() - t0 < 5.0
+        failures = exc_info.value.failures
+        assert isinstance(failures["recv"], RuntimeError)
+        assert "send" in failures
+        assert not [
+            t.name for t in threading.enumerate() if t.name.startswith("nephele-")
+        ]
+
     def test_timeout(self):
         import time
 

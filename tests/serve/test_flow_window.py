@@ -16,6 +16,7 @@ import os
 import random
 import socket
 import sys
+import threading
 import time
 import zlib
 
@@ -38,7 +39,13 @@ from repro.core.levels import default_level_table
 from repro.core.pipeline import CodecThreadPool
 from repro.serve import ServeClient, ServeConfig, TransferServer
 from repro.serve.flow import IOV_MAX, Flow, FlowState
-from repro.serve.protocol import CONTROL_MAGIC, MODE_ECHO, encode_hello, parse_control
+from repro.serve.protocol import (
+    CONTROL_MAGIC,
+    MODE_ECHO,
+    MODE_SINK,
+    encode_hello,
+    parse_control,
+)
 
 WINDOW = 4
 BLOCK = 1024
@@ -185,6 +192,41 @@ class TestPumpQuiescence:
             pool.close()
 
 
+class CountingLock:
+    """A lock that counts its acquisitions."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
+def test_in_order_identity_frames_take_no_lock(wire):
+    """An identity frame that is next in decode order, echoed at NO when
+    next in encode order, never touches the ordered results or their lock."""
+    sock, peer = wire
+    pool = CodecThreadPool(2, name="test-no-lock")
+    try:
+        flow = _echo_flow(sock, pool)
+        flow._lock = lock = CountingLock()
+        _send_echo_stream(peer, _frames(16), eof=False)
+        for _ in range(100):
+            flow.handle_read()
+        flow.pump()
+        assert flow.ok, flow.failure
+        assert (flow.blocks_in, flow.blocks_out) == (16, 16)
+        assert lock.acquired == 0
+        assert flow._decode_results == flow._encode_results == {}
+    finally:
+        pool.close()
+
+
 def test_no_no_echo_flow_submits_no_pool_job():
     srv = TransferServer(ServeConfig(port=0, codec_workers=2)).start()
     try:
@@ -221,18 +263,20 @@ def _flip_payload_byte(frame: bytes) -> bytes:
     return bytes(damaged)
 
 
-def _hello(level: str, block_size) -> bytes:
-    """An echo hello at ``level``, with ``block_size`` unless it is None."""
+def _hello(level: str, block_size, mode: str = MODE_ECHO) -> bytes:
+    """A ``mode`` hello at ``level``, with ``block_size`` unless it is None."""
     params = {"level": level}
     if block_size is not None:
         params["block_size"] = block_size
-    return encode_hello(MODE_ECHO, params)
+    return encode_hello(mode, params)
 
 
-def _drive(flow: Flow, peer, frames, *, level: str, block_size=BLOCK) -> bytes:
-    """Upload ``frames`` after ``_hello(level, block_size)``, run the flow
-    until it closes, then return every byte the peer received."""
-    peer.sendall(_hello(level, block_size))
+def _drive(
+    flow: Flow, peer, frames, *, level: str, block_size=BLOCK, mode: str = MODE_ECHO
+) -> bytes:
+    """Upload ``frames`` after ``_hello(level, block_size, mode)``, run the
+    flow until it closes, then return every byte the peer received."""
+    peer.sendall(_hello(level, block_size, mode))
     for frame in frames:
         peer.sendall(frame)
     peer.shutdown(socket.SHUT_WR)
@@ -396,6 +440,106 @@ class TestFaultPaths:
         assert flow.ok, flow.failure
         assert [decode_block(frame) for frame in echoed] == blocks
         assert controls[-1]["crc32"] == zlib.crc32(b"".join(blocks))
+
+
+class DelayingPool(CodecThreadPool):
+    """A thread pool whose jobs start late: identity frames parsed while a
+    codec job is pending queue behind it, the others are taken at once."""
+
+    def submit(self, fn) -> None:
+        def late(index: int) -> None:
+            time.sleep(0.002)
+            fn(index)
+
+        super().submit(late)
+
+
+def _with_flags(frame: bytes, flags: int, reserved: bytes = bytes(3)) -> bytes:
+    """``frame`` with its flags and reserved header bytes rewritten."""
+    out = bytearray(frame)
+    out[4] = flags
+    out[5:8] = reserved
+    return bytes(out)
+
+
+def _codec_frame(block: bytes, level: str) -> bytes:
+    frame = bytes(encode_block(block, LEVELS.codec(LEVELS.index_of(level))).frame)
+    assert decode_header(frame).codec_id != 0  # really a codec frame
+    return frame
+
+
+#: Inbound frame kinds: (identity?, frame of a block).  The stored
+#: fallback takes incompressible blocks, every other kind compressible ones.
+FRAME_KINDS = {
+    "id0": (True, _no_frame),
+    "stored": (True, lambda b: bytes(encode_block(b, LEVELS.codec(1)).frame)),
+    "id0-flags2": (True, lambda b: _with_flags(_no_frame(b), 2)),
+    "id0-flagsff-reserved": (
+        True,
+        lambda b: _with_flags(_no_frame(b), 0xFF, b"\x01\x80\xff"),
+    ),
+    "light": (False, lambda b: _codec_frame(b, "LIGHT")),
+    "medium": (False, lambda b: _codec_frame(b, "MEDIUM")),
+    "heavy": (False, lambda b: _codec_frame(b, "HEAVY")),
+    "light-flags2": (False, lambda b: _with_flags(_codec_frame(b, "LIGHT"), 2)),
+}
+
+#: (hello mode, hello level) of each serve mode.
+SERVE_MODES = {
+    "echo-NO": (MODE_ECHO, "NO"),
+    "echo-LIGHT": (MODE_ECHO, "LIGHT"),
+    "echo-adaptive": (MODE_ECHO, "adaptive"),
+    "sink": (MODE_SINK, "NO"),
+}
+
+
+class TestIdentityPaths:
+    @pytest.mark.parametrize("serve_mode", list(SERVE_MODES))
+    @pytest.mark.parametrize("kind", list(FRAME_KINDS))
+    def test_every_frame_kind_in_every_mode(self, wire, kind, serve_mode):
+        """Each kind alternates with a partner frame that takes the other
+        path (a LIGHT frame for identity kinds, a NO frame for codec
+        kinds) through a pool whose jobs start late, so identity frames
+        are taken both in order and queued behind a pending job.  The
+        trailer CRC and the decoded echo always equal the input; an echo
+        at NO or LIGHT is exactly ``encode_block`` of each block."""
+        sock, peer = wire
+        identity, make_frame = FRAME_KINDS[kind]
+        rng = random.Random(f"{kind}/{serve_mode}")
+        blocks, frames = [], []
+        for i in range(12):
+            if i % 2 == 0:
+                block = (
+                    rng.randbytes(BLOCK)
+                    if kind == "stored"
+                    else bytes([i, rng.randrange(256)]) * (BLOCK // 2)
+                )
+                frame = make_frame(block)
+            else:
+                block = bytes([i % 251, 7]) * (BLOCK // 2)
+                frame = _light_frame(block) if identity else _no_frame(block)
+            assert (decode_header(frame).codec_id == 0) == (identity == (i % 2 == 0))
+            blocks.append(block)
+            frames.append(frame)
+        mode, level = SERVE_MODES[serve_mode]
+        pool = DelayingPool(2, name="test-identity-paths")
+        try:
+            flow = _echo_flow(sock, pool)
+            wire_out = _drive(flow, peer, frames, level=level, mode=mode)
+            controls, echoed = _split(wire_out)
+        finally:
+            pool.close()
+        assert flow.ok, flow.failure
+        trailer = controls[-1]
+        assert trailer["crc32"] == zlib.crc32(b"".join(blocks))
+        assert trailer["app_bytes"] == len(blocks) * BLOCK
+        if mode == MODE_SINK:
+            assert echoed == [] and trailer["blocks_out"] == 0
+            return
+        assert [decode_block(frame) for frame in echoed] == blocks
+        if level in ("NO", "LIGHT"):
+            codec = LEVELS.codec(LEVELS.index_of(level))
+            assert echoed == [bytes(encode_block(b, codec).frame) for b in blocks]
 
 
 class TestHelloBlockSize:

@@ -90,6 +90,23 @@ class TestSingleFlow:
         assert result.data == payload
         assert result.trailer["blocks_out"] == result.trailer["blocks_in"]
 
+    def test_echo_frames_larger_than_the_client_read_buffer(self, server):
+        """Blocks of MAX_BLOCK_LEN both ways: every echoed frame is larger
+        than the client's reply buffer, which grows to take it."""
+        from repro.codecs.block import MAX_BLOCK_LEN
+
+        data = bytes(range(251)) * ((2 * MAX_BLOCK_LEN + 12345) // 251)
+        result = _client(server).echo(
+            data,
+            level="LIGHT",
+            server_level="NO",
+            block_size=MAX_BLOCK_LEN,
+            server_block_size=MAX_BLOCK_LEN,
+            collect=True,
+        )
+        assert result.data == data
+        assert result.trailer["blocks_out"] == 3
+
     def test_echo_adaptive_server_level(self, server, payload):
         result = _client(server).echo(payload)
         assert result.data == payload
