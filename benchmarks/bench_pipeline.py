@@ -5,9 +5,8 @@ Standalone script (not a pytest-benchmark file).  For every
 path — :class:`~repro.codecs.block.BlockWriter` to encode,
 :class:`~repro.codecs.block.BlockReader` to decode — and then
 :class:`~repro.core.pipeline.ParallelBlockEncoder` or
-:class:`~repro.core.pipeline.ParallelBlockDecoder` at 1/2/4/8 workers
-on each backend.  Every speedup is measured against that row's serial
-cell.  The full matrix goes to ``BENCH_pipeline.json``; in ``--quick``
+:class:`~repro.core.pipeline.ParallelBlockDecoder` at 1/2/4/8 worker
+threads.  Every speedup is measured against that row's serial cell.  The full matrix goes to ``BENCH_pipeline.json``; in ``--quick``
 mode the CI regression gate is enforced.
 
 The gates are core-aware because workers can only buy throughput where
@@ -21,17 +20,10 @@ there are cores to run them:
   box (the fetch/queue/reassemble machinery may cost at most 5 %).
   4-worker MEDIUM/HEAVY is not below serial with >= 2 cores, and
   >= 1.8x in full runs with >= 4 cores.
-* ``--backend both`` adds a process-backend pass per cell (the
-  multiprocess shared-memory codec pool of :mod:`repro.core.procpool`)
-  and gates the threads-vs-processes crossover at MEDIUM/4 workers in
-  each direction: processes keep >= 90 % of thread throughput below 4
-  cores (the IPC overhead bound) and reach parity at >= 4 cores (where
-  the GIL caps the thread pipeline but not the process one).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_pipeline.py [--quick]
-        [--backend thread|both]
         [--mib 16] [--repeats 3] [--out BENCH_pipeline.json]
 """
 
@@ -53,11 +45,6 @@ from repro.codecs.null_codec import NullCodec
 from repro.codecs.zlib_codec import LightZlibCodec
 from repro.core.buffers import BufferPool
 from repro.core.pipeline import ParallelBlockDecoder, ParallelBlockEncoder
-from repro.core.procpool import (
-    CodecProcessPool,
-    process_backend_available,
-    process_backend_reason,
-)
 from repro.data.corpus import Compressibility, generate
 
 BLOCK_SIZE = 128 * 1024
@@ -112,24 +99,6 @@ def core_info() -> dict:
     }
 
 
-def resolve_backends(requested: str) -> tuple:
-    """Map ``--backend`` to the list of backends actually measurable.
-
-    A requested process backend on a box without usable shared memory
-    is *dropped with a warning* rather than silently measured as
-    threads — mislabelled cells would poison the crossover record.
-    """
-    backends = ("thread", "process") if requested == "both" else (requested,)
-    if "process" in backends and not process_backend_available():
-        print(
-            f"WARNING: process backend unavailable "
-            f"({process_backend_reason()}); measuring threads only",
-            file=sys.stderr,
-        )
-        backends = tuple(b for b in backends if b != "process")
-    return backends or ("thread",)
-
-
 def encode_stream(data: bytes, codec) -> bytes:
     """Frame ``data`` into one serial block stream."""
     sink = io.BytesIO()
@@ -140,9 +109,7 @@ def encode_stream(data: bytes, codec) -> bytes:
     return sink.getvalue()
 
 
-def encode_pass(
-    data: bytes, codec, workers: int, backend: str, codec_pool=None
-) -> tuple[float, int]:
+def encode_pass(data: bytes, codec, workers: int) -> tuple[float, int]:
     """Frame ``data`` once; (seconds, wire bytes).
 
     ``workers=0`` selects the serial :class:`BlockWriter`; any other
@@ -153,9 +120,7 @@ def encode_pass(
     if workers == 0:
         encoder = BlockWriter(sink)
     else:
-        encoder = ParallelBlockEncoder(
-            sink, workers=workers, backend=backend, codec_pool=codec_pool
-        )
+        encoder = ParallelBlockEncoder(sink, workers=workers)
     t0 = time.perf_counter()
     with memoryview(data) as view:
         for offset in range(0, len(data), BLOCK_SIZE):
@@ -166,9 +131,7 @@ def encode_pass(
     return elapsed, sink.nbytes
 
 
-def decode_pass(
-    stream: bytes, workers: int, backend: str, codec_pool=None
-) -> tuple[float, int]:
+def decode_pass(stream: bytes, workers: int) -> tuple[float, int]:
     """Decode ``stream`` once; (seconds, plaintext bytes).
 
     ``workers=0`` selects the serial :class:`BlockReader`; any other
@@ -179,9 +142,7 @@ def decode_pass(
     if workers == 0:
         decoder = BlockReader(source, pool=pool)
     else:
-        decoder = ParallelBlockDecoder(
-            source, workers=workers, backend=backend, pool=pool, codec_pool=codec_pool
-        )
+        decoder = ParallelBlockDecoder(source, workers=workers, pool=pool)
     out = 0
     t0 = time.perf_counter()
     for block in decoder:
@@ -191,16 +152,8 @@ def decode_pass(
     return elapsed, out
 
 
-def run_matrix(
-    mib: int, repeats: int, worker_counts, levels, classes, backends=("thread",)
-) -> dict:
-    """Best-of-``repeats`` seconds for every matrix cell.
-
-    A process-backend cell shares one pre-started pool across its
-    repeats, after one unmeasured boot pass, so it times steady-state
-    throughput, not worker process start-up (pools are long-lived in
-    every real deployment).
-    """
+def run_matrix(mib: int, repeats: int, worker_counts, levels, classes) -> dict:
+    """Best-of-``repeats`` seconds for every matrix cell."""
     total = mib * 2**20
     results = []
     for cls in classes:
@@ -223,32 +176,20 @@ def run_matrix(
                     "ratio": round(len(stream) / total, 4),
                 }
                 serial_s = None
-                cells = [(0, "serial")] + [
-                    (workers, backend)
-                    for workers in worker_counts
-                    for backend in backends
-                ]
-                for workers, backend in cells:
-                    shared = None
-                    if backend == "process":
-                        shared = CodecProcessPool(workers)
-                        one_pass(workers, backend, shared)
+                for workers in (0, *worker_counts):
                     best_s, out = min(
-                        (one_pass(workers, backend, shared) for _ in range(repeats)),
+                        (one_pass(workers) for _ in range(repeats)),
                         key=lambda pair: pair[0],
                     )
-                    if shared is not None:
-                        shared.close()
                     assert out == expected, (
                         f"{direction} produced {out} bytes, expected {expected} "
-                        f"at workers={workers}/{backend}"
+                        f"at workers={workers}"
                     )
                     if workers == 0:
                         serial_s = best_s
                     cell = {
                         **base,
                         "workers": workers,
-                        "backend": backend,
                         "seconds": round(best_s, 4),
                         "mb_per_s": round(total / best_s / 1e6, 2),
                         "speedup_vs_serial": round(serial_s / best_s, 3),
@@ -256,7 +197,7 @@ def run_matrix(
                     results.append(cell)
                     print(
                         f"  {direction} {cls.value:8s} {level_name:6s} "
-                        f"workers={workers} {backend:7s}  "
+                        f"workers={workers or 'serial':<6}  "
                         f"{cell['mb_per_s']:8.1f} MB/s  "
                         f"speedup {cell['speedup_vs_serial']:.2f}x",
                         flush=True,
@@ -266,8 +207,6 @@ def run_matrix(
             "block_size": BLOCK_SIZE,
             "payload_mib": mib,
             "repeats": repeats,
-            "backends": list(backends),
-            "process_backend_available": process_backend_available(),
             **core_info(),
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -276,60 +215,27 @@ def run_matrix(
     }
 
 
-def _cell(
-    payload: dict,
-    direction: str,
-    cls: str,
-    level: str,
-    workers: int,
-    backend: str = "thread",
-) -> dict:
+def _cell(payload: dict, direction: str, cls: str, level: str, workers: int) -> dict:
     for cell in payload["results"]:
         if (
             cell["direction"] == direction
             and cell["class"] == cls
             and cell["level"] == level
             and cell["workers"] == workers
-            and cell["backend"] == backend
         ):
             return cell
-    raise KeyError(f"no {direction} cell for {cls}/{level}/workers={workers}/{backend}")
-
-
-def check_backend_gate(payload: dict, direction: str, cls: str) -> list[str]:
-    """Threads-vs-processes gate at the MEDIUM/4-worker headline cell.
-
-    Below 4 cores nothing can overlap enough for processes to win, so
-    the gate is an IPC-overhead bound: >= 90 % of thread throughput.
-    At >= 4 cores the process pool must reach at least parity with the
-    GIL-serialised thread pipeline.
-    """
-    cores = payload["meta"]["usable_cores"]
-    thread = _cell(payload, direction, cls, "MEDIUM", 4, "thread")
-    proc = _cell(payload, direction, cls, "MEDIUM", 4, "process")
-    ratio = proc["mb_per_s"] / thread["mb_per_s"] if thread["mb_per_s"] else 0.0
-    if cores >= 4 and ratio < 1.0:
-        return [
-            f"{direction} {cls}/MEDIUM: process backend slower than threads "
-            f"({ratio:.2f}x) with {cores} cores available"
-        ]
-    if cores < 4 and ratio < 0.90:
-        return [
-            f"{direction} {cls}/MEDIUM: process-backend overhead above 10% of "
-            f"threads ({ratio:.2f}x) on {cores} core(s)"
-        ]
-    return []
+    raise KeyError(f"no {direction} cell for {cls}/{level}/workers={workers}")
 
 
 def check_gate(payload: dict, *, quick: bool) -> list[str]:
     """Return failure messages (empty = gate passed).
 
-    A rule is skipped only when its level or backend was not part of
-    the run; a cell missing from a measured (level, backend) is itself
-    a failure, so no gate can go quiet on a lookup that misses.
+    A rule is skipped only when its level was not part of the run; a
+    cell missing from a measured level is itself a failure, so no gate
+    can go quiet on a lookup that misses.
     """
     cores = payload["meta"]["usable_cores"]
-    measured = {(cell["level"], cell["backend"]) for cell in payload["results"]}
+    measured = {cell["level"] for cell in payload["results"]}
     failures = []
     try:
         for cls in ("HIGH", "MODERATE"):
@@ -350,7 +256,7 @@ def check_gate(payload: dict, *, quick: bool) -> list[str]:
                     f"{cores} cores, got {speedup:.2f}x"
                 )
             for level in ("MEDIUM", "HEAVY"):
-                if (level, "thread") not in measured:
+                if level not in measured:
                     continue
                 # Overhead floor holds on any box, 1 core included: at
                 # one worker nothing overlaps, so this isolates the
@@ -372,9 +278,6 @@ def check_gate(payload: dict, *, quick: bool) -> list[str]:
                         f"decode {cls}/{level}: expected >=1.8x at 4 workers "
                         f"with {cores} cores, got {speedup:.2f}x"
                     )
-            if ("MEDIUM", "process") in measured:
-                for direction in DIRECTIONS:
-                    failures.extend(check_backend_gate(payload, direction, cls))
     except KeyError as exc:
         failures.append(f"gate cell missing: {exc.args[0]}")
     return failures
@@ -390,16 +293,9 @@ def main(argv=None) -> int:
     parser.add_argument("--mib", type=int, default=None, help="payload MiB per class")
     parser.add_argument("--repeats", type=int, default=None, help="passes per cell")
     parser.add_argument(
-        "--backend",
-        choices=["thread", "both"],
-        default="thread",
-        help="codec backend axis ('both' records the crossover)",
-    )
-    parser.add_argument(
         "--out", default="BENCH_pipeline.json", help="JSON output path"
     )
     args = parser.parse_args(argv)
-    backends = resolve_backends(args.backend)
 
     if args.quick:
         mib = args.mib or 4
@@ -416,11 +312,10 @@ def main(argv=None) -> int:
 
     print(
         f"pipeline benchmark: {mib} MiB/class, repeats={repeats}, "
-        f"backends={'/'.join(backends)}, "
         f"usable cores={core_info()['usable_cores']}",
         flush=True,
     )
-    payload = run_matrix(mib, repeats, worker_counts, levels, classes, backends)
+    payload = run_matrix(mib, repeats, worker_counts, levels, classes)
     with open(args.out, "w") as fp:
         json.dump(payload, fp, indent=2)
     print(f"matrix written to {args.out}")

@@ -25,11 +25,6 @@ wildly in cores and background load:
 * with >= 2 usable cores, 4 flows must move at least as much aggregate
   data per second as 60 % of 1 flow (shared-pool contention bound).
 
-``--backend both`` repeats every round on the process-sharded codec
-substrate (``ServeConfig(codec_backend="process")``), so one artifact
-records the serve-layer threads-vs-processes crossover; each round
-notes the backend/shards/workers its daemon actually resolved.
-
 ``--control`` switches to the contended-fleet axis instead: a fixed
 flow count on a deliberately capped codec pool, once per fleet policy
 (uncontrolled, fair-share, greedy-throughput), written to
@@ -52,7 +47,6 @@ so the artifact documents both the promise and the evidence.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_serve.py [--quick]
-        [--backend thread|process|both]
         [--mib 8] [--out BENCH_serve.json]
         [--control] [--repeats 2] [--control-out BENCH_control.json]
         [--slo]
@@ -67,14 +61,14 @@ import sys
 import threading
 import time
 
-from bench_pipeline import core_info, resolve_backends
+from bench_pipeline import core_info
 
 from repro.data.corpus import Compressibility, generate
 from repro.serve import ServeClient, ServeConfig, TransferServer
 
 FLOW_COUNTS = (1, 4, 16)
 
-#: Rounds per (flows, backend) cell of the scaling axis.  Every round is
+#: Rounds per flow-count cell of the scaling axis.  Every round is
 #: recorded; the cell's throughput, which the gate reads, is the median.
 SCALING_ROUNDS = 3
 
@@ -87,7 +81,6 @@ def run_round(
     data: bytes,
     flows: int,
     codec_workers: int,
-    backend: str = "thread",
     policy: str | None = None,
     control_interval: float = 1.0,
 ) -> dict:
@@ -97,7 +90,6 @@ def run_round(
             port=0,
             max_flows=flows + 4,
             codec_workers=codec_workers,
-            codec_backend=backend,
             policy=policy,
             control_interval=control_interval,
         )
@@ -120,12 +112,10 @@ def run_round(
     for t in threads:
         t.join()
     wall = time.perf_counter() - t0
-    # Read the *resolved* substrate shape off the live server: the
-    # config value may be 0 (= auto), and recording that instead of
-    # what actually ran made earlier artifacts unauditable.
+    # Read the *resolved* worker count off the live server: the config
+    # value may be 0 (= auto), and recording that instead of what
+    # actually ran made earlier artifacts unauditable.
     codec_workers_resolved = server.codec_workers
-    codec_backend_resolved = server.codec_backend
-    codec_shards_resolved = server.codec_shards
     rebalances = server.controller.rebalances if server.controller else 0
     server.stop(drain=True, timeout=30.0)
 
@@ -137,8 +127,6 @@ def run_round(
         "rebalances": rebalances,
         "completed": len(flow_seconds),
         "codec_workers_resolved": codec_workers_resolved,
-        "codec_backend": codec_backend_resolved,
-        "codec_shards": codec_shards_resolved,
         "errors": errors,
         "server_failed_flows": server.flows_failed,
         "wall_seconds": round(wall, 4),
@@ -153,12 +141,12 @@ def run_round(
     }
 
 
-def run_cell(data: bytes, flows: int, codec_workers: int, backend: str) -> dict:
+def run_cell(data: bytes, flows: int, codec_workers: int) -> dict:
     """:data:`SCALING_ROUNDS` rounds of one cell: the median round, with
     every round under ``repeats``.  Completion and failure counts cover
     all rounds, so the correctness gate still sees each one."""
     repeats = [
-        run_round(data, flows, codec_workers, backend) for _ in range(SCALING_ROUNDS)
+        run_round(data, flows, codec_workers) for _ in range(SCALING_ROUNDS)
     ]
     ranked = sorted(repeats, key=lambda r: r["aggregate_mb_per_s"])
     cell = dict(ranked[len(ranked) // 2])
@@ -172,26 +160,20 @@ def run_cell(data: bytes, flows: int, codec_workers: int, backend: str) -> dict:
     return cell
 
 
-def run_matrix(
-    mib: int,
-    codec_workers: int,
-    flow_counts,
-    backends=("thread",),
-) -> dict:
+def run_matrix(mib: int, codec_workers: int, flow_counts) -> dict:
     data = generate(Compressibility.MODERATE, mib * 2**20, seed=13)
     rounds = []
-    for backend in backends:
-        for flows in flow_counts:
-            cell = run_cell(data, flows, codec_workers, backend)
-            rounds.append(cell)
-            print(
-                f"  flows={flows:3d} {cell['codec_backend']:7s}  "
-                f"aggregate {cell['aggregate_mb_per_s']:8.1f} MB/s (median of "
-                f"{[r['aggregate_mb_per_s'] for r in cell['repeats']]})  "
-                f"wall {cell['wall_seconds']:.2f}s  "
-                f"completed {cell['completed']}/{flows}",
-                flush=True,
-            )
+    for flows in flow_counts:
+        cell = run_cell(data, flows, codec_workers)
+        rounds.append(cell)
+        print(
+            f"  flows={flows:3d}  "
+            f"aggregate {cell['aggregate_mb_per_s']:8.1f} MB/s (median of "
+            f"{[r['aggregate_mb_per_s'] for r in cell['repeats']]})  "
+            f"wall {cell['wall_seconds']:.2f}s  "
+            f"completed {cell['completed']}/{flows}",
+            flush=True,
+        )
     return {
         "meta": {
             "payload_mib_per_flow": mib,
@@ -201,8 +183,6 @@ def run_matrix(
             "codec_workers_resolved": rounds[0]["codec_workers_resolved"]
             if rounds
             else None,
-            "backends": sorted({c["codec_backend"] for c in rounds}),
-            "codec_shards": rounds[0]["codec_shards"] if rounds else None,
             **core_info(),
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -211,11 +191,11 @@ def run_matrix(
     }
 
 
-def _round(payload: dict, flows: int, backend: str) -> dict:
+def _round(payload: dict, flows: int) -> dict:
     for cell in payload["rounds"]:
-        if cell["flows"] == flows and cell["codec_backend"] == backend:
+        if cell["flows"] == flows:
             return cell
-    raise KeyError(f"no round for flows={flows}/{backend}")
+    raise KeyError(f"no round for flows={flows}")
 
 
 def check_gate(payload: dict) -> list[str]:
@@ -224,38 +204,34 @@ def check_gate(payload: dict) -> list[str]:
     for cell in payload["rounds"]:
         if cell["completed"] != cell["flows"] or cell["errors"]:
             failures.append(
-                f"flows={cell['flows']}/{cell['codec_backend']}: only "
+                f"flows={cell['flows']}: only "
                 f"{cell['completed']} of {cell['flows']} flows completed "
                 f"verified ({cell['errors'][:2]})"
             )
         if cell["server_failed_flows"]:
             failures.append(
-                f"flows={cell['flows']}/{cell['codec_backend']}: server "
+                f"flows={cell['flows']}: server "
                 f"reported {cell['server_failed_flows']} failed flows"
             )
     if failures:
         return failures  # throughput ratios are meaningless on failures
     cores = payload["meta"]["usable_cores"]
-    for backend in payload["meta"]["backends"]:
-        base = _round(payload, 1, backend)["aggregate_mb_per_s"]
-        if base <= 0:
+    base = _round(payload, 1)["aggregate_mb_per_s"]
+    if base <= 0:
+        return ["single-flow round produced no throughput sample"]
+    sixteen = _round(payload, 16)["aggregate_mb_per_s"]
+    if sixteen < 0.25 * base:
+        failures.append(
+            f"16-flow aggregate collapsed: {sixteen:.1f} MB/s "
+            f"vs {base:.1f} MB/s single-flow (floor 25%)"
+        )
+    if cores >= 2:
+        four = _round(payload, 4)["aggregate_mb_per_s"]
+        if four < 0.6 * base:
             failures.append(
-                f"{backend}: single-flow round produced no throughput sample"
+                f"4-flow aggregate {four:.1f} MB/s below 60% "
+                f"of single-flow {base:.1f} MB/s with {cores} cores"
             )
-            continue
-        sixteen = _round(payload, 16, backend)["aggregate_mb_per_s"]
-        if sixteen < 0.25 * base:
-            failures.append(
-                f"{backend}: 16-flow aggregate collapsed: {sixteen:.1f} MB/s "
-                f"vs {base:.1f} MB/s single-flow (floor 25%)"
-            )
-        if cores >= 2:
-            four = _round(payload, 4, backend)["aggregate_mb_per_s"]
-            if four < 0.6 * base:
-                failures.append(
-                    f"{backend}: 4-flow aggregate {four:.1f} MB/s below 60% "
-                    f"of single-flow {base:.1f} MB/s with {cores} cores"
-                )
     return failures
 
 
@@ -373,6 +349,10 @@ SLO_THRESHOLDS = {
     "metrics_scrape_seconds_max": 2.0,
 }
 
+#: Longest the SLO run waits for the first flow to open before its
+#: mid-load scrape.
+SCRAPE_OPEN_DEADLINE_SECONDS = 10.0
+
 
 def measure_resync(mib: int) -> dict:
     """Corrupt one block mid-stream; time the full resync read.
@@ -465,7 +445,16 @@ def run_slo(mib: int, codec_workers: int, flows: int = SLO_FLOWS) -> dict:
         import urllib.error
         import urllib.request
 
-        time.sleep(0.2)
+        # Scrape once a flow is open: every open flow exports its
+        # per-flow gauges (its app rate reads 0.0 before its first
+        # window), so the series count shows the scrape ran under load.
+        open_deadline = time.perf_counter() + SCRAPE_OPEN_DEADLINE_SECONDS
+        while (
+            server.status()["active_flows"] < 1
+            and time.perf_counter() < open_deadline
+        ):
+            time.sleep(0.005)
+        flows_open_at_scrape = server.status()["active_flows"]
         s0 = time.perf_counter()
         metrics_text = (
             urllib.request.urlopen(base + "/metrics", timeout=30).read().decode()
@@ -511,6 +500,7 @@ def run_slo(mib: int, codec_workers: int, flows: int = SLO_FLOWS) -> dict:
         "queue_depth_samples": len(depth_samples),
         "metrics_scrape_seconds": round(scrape_seconds, 4),
         "metrics_bytes": len(metrics_text),
+        "flows_open_at_scrape": flows_open_at_scrape,
         "flow_series_at_scrape": flow_series_at_scrape,
         "healthz_status_under_load": healthz_status,
         "healthz_ready_under_load": bool(healthz_body.get("ready")),
@@ -537,6 +527,11 @@ def check_slo_gate(slo: dict) -> list[str]:
             f"slo: /healthz under load returned "
             f"{slo['healthz_status_under_load']} (ready="
             f"{slo['healthz_ready_under_load']}); a serving daemon must probe ready"
+        )
+    if slo["flows_open_at_scrape"] == 0:
+        failures.append(
+            f"slo: no flow was open within {SCRAPE_OPEN_DEADLINE_SECONDS:.0f}s "
+            f"of the fleet's start, so the /metrics scrape ran without load"
         )
     if slo["flow_series_at_scrape"] == 0:
         failures.append(
@@ -588,12 +583,6 @@ def main(argv=None) -> int:
     parser.add_argument("--mib", type=int, default=None, help="payload MiB per flow")
     parser.add_argument(
         "--workers", type=int, default=0, help="shared codec workers (0 = auto)"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["thread", "process", "both"],
-        default="thread",
-        help="codec executor backend ('both' records the crossover)",
     )
     parser.add_argument("--out", default="BENCH_serve.json", help="JSON output path")
     parser.add_argument(
@@ -672,14 +661,12 @@ def main(argv=None) -> int:
             print("gate passed")
         return 1 if failures else 0
 
-    backends = resolve_backends(args.backend)
     print(
         f"serve benchmark: {mib} MiB/flow at {FLOW_COUNTS} concurrent flows, "
-        f"backends={'/'.join(backends)}, "
         f"usable cores={core_info()['usable_cores']}",
         flush=True,
     )
-    payload = run_matrix(mib, args.workers, FLOW_COUNTS, backends)
+    payload = run_matrix(mib, args.workers, FLOW_COUNTS)
     with open(args.out, "w") as fp:
         json.dump(payload, fp, indent=2)
     print(f"matrix written to {args.out}")

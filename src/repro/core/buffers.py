@@ -28,19 +28,11 @@ only while a bus subscriber is attached.
 from __future__ import annotations
 
 import threading
-import weakref
-from typing import Dict, List, Optional
-
-try:  # Restricted sandboxes may ship multiprocessing without shm.
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - platform-dependent
-    _shared_memory = None
+from typing import List, Optional
 
 __all__ = [
     "BufferPool",
     "PooledBuffer",
-    "SharedSlabPool",
-    "SharedSlab",
     "DEFAULT_SLAB_SIZE",
 ]
 
@@ -142,186 +134,3 @@ class BufferPool:
                 "free_slabs": len(self._free),
             }
 
-
-def _destroy_segment(shm) -> None:
-    """Close and unlink one SharedMemory segment, tolerating partial state.
-
-    Runs via ``weakref.finalize`` — i.e. also at interpreter exit — so a
-    :class:`SharedSlabPool` can never leave a stray ``/dev/shm`` file
-    behind, even when the owner forgot to call :meth:`close`.
-    """
-    try:
-        shm.close()
-    except BufferError:
-        # A borrowed view outlived the pool; the mapping stays but the
-        # name must still go away.
-        pass
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
-    except OSError:  # pragma: no cover - platform-dependent unlink races
-        pass
-
-
-class SharedSlab:
-    """One fixed-size window of a :class:`SharedSlabPool` segment.
-
-    ``view`` is a writable :class:`memoryview` over the *whole* slab
-    (``slab_size`` bytes): the submitter copies a job payload into its
-    prefix, a worker process — attached to the same segment under the
-    same index — may overwrite it in place with the job's result, and
-    the owner reads the result prefix back out before ``release()``.
-    After ``release()`` the view is invalid and the slab may be handed
-    to another caller immediately.
-    """
-
-    __slots__ = ("index", "view", "_pool")
-
-    def __init__(self, index: int, view: memoryview, pool: "SharedSlabPool") -> None:
-        self.index = index
-        self.view = view
-        self._pool = pool
-
-    def release(self) -> None:
-        """Return the slab to its pool.  Idempotent."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        view, self.view = self.view, None
-        pool._release(self.index, view)
-
-
-class SharedSlabPool:
-    """Cross-process sibling of :class:`BufferPool`: a fixed ring of
-    slabs carved from one ``multiprocessing.shared_memory`` segment.
-
-    Where :class:`BufferPool` recycles in-process ``bytearray`` slabs,
-    this pool owns *one* named shared-memory segment of
-    ``slab_size * num_slabs`` bytes that worker **processes** attach to
-    by name.  Block payloads then cross the process boundary as a slab
-    index plus a byte length — never as pickled bytes — which is what
-    makes the process codec backend's per-block IPC O(descriptor), not
-    O(payload).
-
-    Unlike :class:`BufferPool`, the slab count is fixed: a full pool
-    returns ``None`` from :meth:`try_acquire` (counted in
-    ``exhausted``), as does a request larger than ``slab_size``
-    (counted in ``oversize``) — callers fall back to inline bytes on
-    the pipe.  The free list lives in the owning process only; worker
-    processes never allocate, they only read/write the slab a job
-    descriptor names.
-
-    Cleanup is belt and braces: :meth:`close` releases every
-    outstanding view, closes the mapping and unlinks the segment name;
-    a ``weakref.finalize`` hook does the same at garbage collection or
-    interpreter exit, so no ``/dev/shm`` entry can outlive the process.
-    """
-
-    def __init__(
-        self, slab_size: int = DEFAULT_SLAB_SIZE, num_slabs: int = 8
-    ) -> None:
-        if _shared_memory is None:
-            raise RuntimeError("multiprocessing.shared_memory is unavailable")
-        if slab_size < 1:
-            raise ValueError("slab_size must be >= 1")
-        if num_slabs < 1:
-            raise ValueError("num_slabs must be >= 1")
-        self.slab_size = slab_size
-        self.num_slabs = num_slabs
-        self._shm = _shared_memory.SharedMemory(
-            create=True, size=slab_size * num_slabs
-        )
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._free: List[int] = list(range(num_slabs))
-        self._out: Dict[int, SharedSlab] = {}
-        self._closed = False
-        self.acquires = 0
-        #: try_acquire calls that found no free slab.
-        self.exhausted = 0
-        #: Requests larger than ``slab_size`` (never served).
-        self.oversize = 0
-        self._finalizer = weakref.finalize(self, _destroy_segment, self._shm)
-
-    @property
-    def name(self) -> str:
-        """Segment name worker processes attach to."""
-        return self._shm.name
-
-    def try_acquire(self, length: int) -> Optional[SharedSlab]:
-        """A free slab able to hold ``length`` bytes, or ``None``.
-
-        Never blocks: the process backend falls back to inline pipe
-        bytes when the ring is full or the payload is oversize, so a
-        burst of jobs degrades to slower transport instead of deadlock.
-        """
-        if length > self.slab_size:
-            with self._lock:
-                self.oversize += 1
-            return None
-        with self._lock:
-            if self._closed or not self._free:
-                self.exhausted += 1
-                return None
-            index = self._free.pop()
-            self.acquires += 1
-            view = memoryview(self._shm.buf)[
-                index * self.slab_size : (index + 1) * self.slab_size
-            ]
-            slab = SharedSlab(index, view, self)
-            self._out[index] = slab
-            return slab
-
-    def _release(self, index: int, view: Optional[memoryview]) -> None:
-        if view is not None:
-            view.release()
-        with self._cond:
-            self._out.pop(index, None)
-            if not self._closed:
-                self._free.append(index)
-                self._cond.notify()
-
-    @property
-    def free_slabs(self) -> int:
-        with self._lock:
-            return len(self._free)
-
-    def stats(self) -> dict:
-        """Counter snapshot (for telemetry events and tests)."""
-        with self._lock:
-            return {
-                "slab_size": self.slab_size,
-                "num_slabs": self.num_slabs,
-                "acquires": self.acquires,
-                "exhausted": self.exhausted,
-                "oversize": self.oversize,
-                "free_slabs": len(self._free),
-            }
-
-    def close(self) -> None:
-        """Release every view, close the mapping, unlink the name.
-
-        Idempotent, and safe with slabs still outstanding (the abort
-        path tears down mid-flight): their views are force-released so
-        the segment can actually be closed.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            outstanding = list(self._out.values())
-            self._out.clear()
-            self._free.clear()
-        for slab in outstanding:
-            view, slab.view = slab.view, None
-            slab._pool = None
-            if view is not None:
-                view.release()
-        self._finalizer()
-
-    def __enter__(self) -> "SharedSlabPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -53,28 +53,46 @@ direction:
 The decoder accepts a :class:`~repro.core.buffers.BufferPool` to
 recycle payload buffers instead of allocating one per block.
 
-Both pipelines hand their codec jobs to a **codec pool** through one
-typed contract — ``submit_compress``/``submit_decompress`` with an
-``on_done`` completion callback (spelled out in
-:mod:`repro.core.procpool`) — and each holds one pool and one
-completion path, whichever pool it is:
+Both pipelines hand their codec jobs to a :class:`CodecThreadPool`
+through two typed calls, ``submit_compress``/``submit_decompress``,
+each with an ``on_done`` completion callback.  By default a pipeline
+owns a private pool sized by ``workers``.  Passing ``codec_pool=``
+instead makes it one of many clients of a *shared* pool, which it never
+closes: the :mod:`repro.serve` daemon runs every flow's jobs on one
+shared pool this way.  Ordering, windowing, error latching and byte
+identity stay per pipeline; only where the codec call executes differs.
 
-* :class:`CodecThreadPool` runs the jobs on worker threads (the
-  default).  ``zlib``/``bz2``/``lzma`` release the GIL, so threads
-  already compress in parallel.
-* :class:`~repro.core.procpool.CodecProcessPool` (``backend="process"``)
-  runs them in worker *processes* fed over shared-memory slabs, so even
-  the GIL-bound parts of a job scale with cores.  A worker-process
-  *crash* surfaces as :class:`~repro.core.procpool.WorkerCrashedError`,
-  and where shared memory is unavailable the knob degrades to threads
-  (see :func:`~repro.core.procpool.resolve_backend`).
+**The pool contract.**  The pipelines and the daemon's flows rely on
+these rules:
 
-By default a pipeline owns a private pool sized by ``workers``.
-Passing ``codec_pool=`` instead makes it one of many clients of a
-*shared* pool, which it never closes: the :mod:`repro.serve` daemon
-runs every flow's jobs on shared pools this way.  Ordering, windowing,
-error latching and byte identity stay per pipeline; only where the
-codec call executes differs.
+* ``on_done(exc, header, payload)`` / ``on_done(exc, data)`` runs on a
+  worker thread (an identity job's on the caller, see below) once per
+  accepted job: the codec's error, or its result.  The pool never
+  copies a result: ``payload`` is the codec's own output, or for a
+  stored fallback the submitted ``data`` itself.
+* A decompress payload may be a pooled buffer
+  (:class:`~repro.core.buffers.PooledBuffer`); the pool then owns it
+  and releases it exactly once — after the job has consumed it, when
+  the submit is refused, or when ``terminate()`` drops the job.
+* A refused submit (closed pool) raises at the caller; ``close()``
+  drains, ``terminate()`` fails what is still queued.
+* ``span`` names the telemetry span the job runs under, tagged with the
+  worker index and codec.
+* **Identity jobs run on the caller.**  A job whose codec is the
+  identity — ``submit_decompress`` of a codec-id-0 frame, or
+  ``submit_compress`` with a codec whose exact type is
+  :class:`~repro.codecs.null_codec.NullCodec` — does its CRC, copy and
+  framing work on the submitting thread, and ``on_done`` runs there
+  before the submit returns.  Its only work is that CRC and one copy,
+  so a trip through a queue would cost far more than the job itself.
+  It is refused exactly like a queued job, before any work runs, opens
+  the caller-named span (tagged ``worker="caller"``), and counts in
+  ``jobs_submitted``/``jobs_completed`` and in ``caller_runs``.
+  Subclasses and other id-0 codecs still run on workers: only the stock
+  identity is known to be cheap.  The rule serves the pipelines; the
+  serve daemon's flows check codec-id-0 frames themselves and never
+  submit them (see :mod:`repro.serve.flow`), so in the daemon it runs
+  only when a compressed frame is echoed at level NO.
 
 Telemetry is zero-cost when idle: queue-depth gauges
 (:class:`~repro.telemetry.events.PipelineQueueDepth`), per-worker
@@ -86,6 +104,7 @@ when a bus subscriber is attached.
 
 from __future__ import annotations
 
+import logging
 import queue
 import threading
 from functools import partial
@@ -105,20 +124,11 @@ from ..codecs.block import (
     write_frames,
 )
 from ..codecs.errors import CodecError
+from ..codecs.null_codec import NullCodec
 from ..codecs.registry import DEFAULT_REGISTRY, CodecRegistry
 from ..telemetry import spans
 from ..telemetry.events import BUS, BufferPoolStats, PipelineQueueDepth
-from .buffers import BufferPool
-from .procpool import (
-    CodecProcessPool,
-    _is_identity,
-    _payload_bytes,
-    _release_payload,
-    _run_callback,
-    _run_on_caller,
-    _warn_fallback,
-    resolve_backend,
-)
+from .buffers import BufferPool, PooledBuffer
 from .recovery import ResyncBlockReader, ResyncFrameScanner
 
 __all__ = [
@@ -137,24 +147,38 @@ DEFAULT_MAX_IN_FLIGHT_PER_WORKER = 2
 #: Sentinel telling a worker thread to exit.
 _SHUTDOWN = None
 
+logger = logging.getLogger(__name__)
+
+
+def _payload_bytes(payload) -> BlockData:
+    """The byte buffer behind a submitted payload, pooled or plain."""
+    return payload.view if isinstance(payload, PooledBuffer) else payload
+
+
+def _release_payload(payload) -> None:
+    """Give a pooled payload back; plain buffers belong to the caller."""
+    if isinstance(payload, PooledBuffer):
+        payload.release()
+
+
+def _is_identity(codec) -> bool:
+    """Does a compress job with ``codec`` run on the caller?  (Exact type.)"""
+    return type(codec) is NullCodec
+
 
 class CodecThreadPool:
     """N worker threads executing codec jobs for any number of clients.
 
-    The default codec pool, and the piece that lets *many* pipelines
-    (or :mod:`repro.serve` flows) share one set of threads: owners
-    submit typed jobs — :meth:`submit_compress` /
-    :meth:`submit_decompress`, the same calls and contract as
-    :class:`~repro.core.procpool.CodecProcessPool` (see
-    :mod:`repro.core.procpool`) — the pool runs each on whichever worker
-    frees up first and hands the outcome to the job's ``on_done`` on
-    that worker.  An identity job (the stock ``NullCodec``, or a
-    codec-id-0 frame) is the exception: it runs on the submitting
-    thread, which is cheaper than any queue hop, and is counted in
-    ``caller_runs``.  In-order reassembly, error latching and windowing
-    stay with the owner, where the ordering requirements live.  The
-    thread pool never copies a payload: ``on_done`` receives the codec's
-    own output (or, for a stored fallback, the submitted ``data``).
+    The codec pool, and the piece that lets *many* pipelines (or
+    :mod:`repro.serve` flows) share one set of threads: owners submit
+    typed jobs — :meth:`submit_compress` / :meth:`submit_decompress`,
+    under the contract in the module docstring — the pool runs each on
+    whichever worker frees up first and hands the outcome to the job's
+    ``on_done`` on that worker.  An identity job (the stock
+    ``NullCodec``, or a codec-id-0 frame) is the exception: it runs on
+    the submitting thread, which is cheaper than any queue hop, and is
+    counted in ``caller_runs``.  In-order reassembly, error latching and
+    windowing stay with the owner, where the ordering requirements live.
 
     Both typed calls ride on :meth:`submit`, which queues a plain
     ``fn(worker_index)`` callable.  Such a job must not raise; one that
@@ -167,8 +191,6 @@ class CodecThreadPool:
     worker; ``terminate`` fails the typed jobs still queued instead of
     running them.  Both are idempotent; a submit after either raises.
     """
-
-    backend = "thread"
 
     def __init__(self, workers: int, *, name: str = "repro-codec") -> None:
         if workers < 1:
@@ -230,6 +252,63 @@ class CodecThreadPool:
             raise ValueError(f"{self.name}: pool is closed")
         self.jobs_submitted += 1
 
+    def _run_callback(self, on_done: Callable, *args) -> None:
+        """Deliver one job outcome to its owner's ``on_done``.
+
+        A callback that raises is its owner's bug: it is counted in
+        ``callback_failures`` and logged, and the thread that delivered
+        it keeps serving every other owner.
+        """
+        try:
+            on_done(*args)
+        except BaseException as exc:  # noqa: BLE001 - pool thread must survive
+            with self._lock:
+                self.callback_failures += 1
+                self.last_internal_error = exc
+            logger.exception("%s: on_done callback failed", self.name)
+
+    def _run_on_caller(
+        self,
+        kind: str,
+        work: Callable[[], tuple],
+        codec_name: Callable[[], str],
+        *,
+        on_done: Callable,
+        span: Optional[str],
+        payload=None,
+    ) -> None:
+        """Run one identity job on the submitting thread (module docstring).
+
+        :meth:`_admit` refuses it as it would a queued job, before any
+        work runs; a pooled ``payload`` is released either way.  ``kind``
+        is ``"c"`` or ``"d"``; ``work()`` returns the outcome ``on_done``
+        receives after ``exc``, and ``codec_name()`` tags the span.
+        """
+        try:
+            with self._lock:
+                self._admit()
+                self.caller_runs += 1
+        except BaseException:
+            _release_payload(payload)
+            raise
+        exc = None
+        outcome: tuple = (None, None) if kind == "c" else (None,)
+        try:
+            if span is not None and BUS.active:
+                with spans.span(span, worker="caller", codec=codec_name()):
+                    outcome = work()
+            else:
+                outcome = work()
+        except BaseException as err:  # noqa: BLE001 - delivered to on_done
+            exc = err
+        finally:
+            _release_payload(payload)
+        with self._lock:
+            self.jobs_completed += 1
+            if exc is not None:
+                self.job_failures += 1
+        self._run_callback(on_done, exc, *outcome)
+
     def submit_compress(
         self,
         data: BlockData,
@@ -249,8 +328,7 @@ class CodecThreadPool:
         around the codec call.
         """
         if _is_identity(codec):
-            _run_on_caller(
-                self,
+            self._run_on_caller(
                 "c",
                 lambda: _compress_payload(data, codec),
                 lambda: codec.name,
@@ -271,7 +349,7 @@ class CodecThreadPool:
                     header, payload = _compress_payload(data, codec)
             except BaseException as err:  # noqa: BLE001 - delivered to on_done
                 exc = self._failed(err)
-            _run_callback(self, on_done, exc, header, payload)
+            self._run_callback(on_done, exc, header, payload)
 
         self.submit(job)
 
@@ -295,8 +373,7 @@ class CodecThreadPool:
         """
         view = _payload_bytes(payload)
         if header.codec_id == 0:
-            _run_on_caller(
-                self,
+            self._run_on_caller(
                 "d",
                 lambda: (decode_payload(header, view, registry, check_crc=check_crc),),
                 lambda: registry.get(0).name,
@@ -323,7 +400,7 @@ class CodecThreadPool:
                 exc = self._failed(err)
             finally:
                 _release_payload(payload)
-            _run_callback(self, on_done, exc, data)
+            self._run_callback(on_done, exc, data)
 
         try:
             self.submit(job)
@@ -376,7 +453,7 @@ class CodecThreadPool:
         self.close()
 
     def stats(self) -> dict:
-        """Counter snapshot; same keys as the process pool's."""
+        """Counter snapshot."""
         with self._lock:
             return {
                 "workers": len(self._threads),
@@ -384,12 +461,8 @@ class CodecThreadPool:
                 "jobs_completed": self.jobs_completed,
                 "job_failures": self.job_failures,
                 "queued": self._jobs.qsize(),
-                "inline_jobs": 0,
                 "caller_runs": self.caller_runs,
                 "callback_failures": self.callback_failures,
-                "backend": self.backend,
-                "broken": False,
-                "slabs": None,
             }
 
     def __enter__(self) -> "CodecThreadPool":
@@ -399,12 +472,8 @@ class CodecThreadPool:
         self.close()
 
 
-#: Either codec pool: both take the same typed calls.
-CodecPool = Union[CodecThreadPool, CodecProcessPool]
-
-
 def _window(
-    codec_pool: Optional[CodecPool], workers: int, max_in_flight: Optional[int]
+    codec_pool: Optional[CodecThreadPool], workers: int, max_in_flight: Optional[int]
 ) -> Tuple[int, int]:
     """Validated ``(workers, max_in_flight)`` of one pipeline.
 
@@ -425,13 +494,6 @@ def _window(
     return workers, max_in_flight
 
 
-def _own_pool(workers: int, backend: str, name: str) -> CodecPool:
-    """A private codec pool for one pipeline (closed by its owner)."""
-    if backend == "process":
-        return CodecProcessPool(workers, name=f"{name}-proc")
-    return CodecThreadPool(workers, name=name)
-
-
 class ParallelBlockEncoder:
     """Compress framed blocks on a codec pool, emit them in order.
 
@@ -450,15 +512,12 @@ class ParallelBlockEncoder:
         workers: int = 0,
         max_in_flight: Optional[int] = None,
         source: str = "pipeline",
-        codec_pool: Optional[CodecPool] = None,
-        backend: str = "thread",
+        codec_pool: Optional[CodecThreadPool] = None,
     ) -> None:
         workers, max_in_flight = _window(codec_pool, workers, max_in_flight)
         self._owns_pool = codec_pool is None
         if codec_pool is None:
-            codec_pool = _own_pool(
-                workers, resolve_backend(backend, source=source), "repro-pipeline"
-            )
+            codec_pool = CodecThreadPool(workers, name="repro-pipeline")
         self._codec_pool = codec_pool
         self._sink = sink
         # Vectored sinks take (header, payload) parts and the frame is
@@ -491,14 +550,9 @@ class ParallelBlockEncoder:
         return self._codec_pool.workers
 
     @property
-    def codec_pool(self) -> CodecPool:
+    def codec_pool(self) -> CodecThreadPool:
         """The codec pool this encoder's jobs run on."""
         return self._codec_pool
-
-    @property
-    def backend(self) -> str:
-        """Which codec pool compress jobs run on."""
-        return self._codec_pool.backend
 
     @property
     def in_flight(self) -> int:
@@ -507,12 +561,9 @@ class ParallelBlockEncoder:
 
     # -- completion (pool thread) -----------------------------------
 
-    def _done(self, seq: int, data: BlockData, exc, header, payload) -> None:
+    def _done(self, seq: int, exc, header, payload) -> None:
         """Frame one finished block, or latch its error."""
         if exc is None:
-            if self._vectored and not (payload is data or isinstance(payload, bytes)):
-                # Parts outlive this call; a pool view does not.
-                payload = bytes(payload)
             block = frame_payload(header, payload, vectored=self._vectored)
         with self._cond:
             if exc is not None:
@@ -577,7 +628,7 @@ class ParallelBlockEncoder:
             data,
             codec,
             span="pipeline.compress",
-            on_done=partial(self._done, seq, data),
+            on_done=partial(self._done, seq),
         )
         self._next_submit += 1
         self.bytes_in += data.nbytes if isinstance(data, memoryview) else len(data)
@@ -663,8 +714,7 @@ def make_block_encoder(
     workers: int = 1,
     max_in_flight: Optional[int] = None,
     source: str = "pipeline",
-    codec_pool: Optional[CodecPool] = None,
-    backend: str = "thread",
+    codec_pool: Optional[CodecThreadPool] = None,
 ) -> Union[BlockWriter, ParallelBlockEncoder]:
     """Serial or parallel block encoder behind one interface.
 
@@ -672,20 +722,14 @@ def make_block_encoder(
     :class:`~repro.codecs.block.BlockWriter` — byte-for-byte and
     code-path-for-code-path today's behaviour, with zero threading
     overhead.  ``workers>1`` returns a :class:`ParallelBlockEncoder`.
-    ``codec_pool`` routes compress jobs to a shared codec pool of
-    either kind (always the parallel class then, whatever ``workers``
-    says) instead of one owned by this encoder.
-    ``backend="process"`` runs codec jobs on worker processes
-    (:class:`~repro.core.procpool.CodecProcessPool`) — even at
-    ``workers=1`` that returns the parallel class, because a single
-    worker process still takes the codec off the producer's core.  The
-    knob degrades to threads where the process backend is unavailable.
+    ``codec_pool`` routes compress jobs to a shared codec pool (always
+    the parallel class then, whatever ``workers`` says) instead of one
+    owned by this encoder.
     """
     if codec_pool is None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        backend = resolve_backend(backend, source=source)
-        if workers == 1 and backend == "thread":
+        if workers == 1:
             return BlockWriter(sink)
     elif workers == 1:
         workers = 0  # the shared pool's size sets the default window
@@ -695,7 +739,6 @@ def make_block_encoder(
         max_in_flight=max_in_flight,
         source=source,
         codec_pool=codec_pool,
-        backend=backend,
     )
 
 
@@ -741,22 +784,12 @@ class ParallelBlockDecoder:
         resync: bool = False,
         pool: Optional[BufferPool] = None,
         event_source: str = "decode-pipeline",
-        codec_pool: Optional[CodecPool] = None,
-        backend: str = "thread",
+        codec_pool: Optional[CodecThreadPool] = None,
     ) -> None:
         workers, max_in_flight = _window(codec_pool, workers, max_in_flight)
         self._owns_pool = codec_pool is None
         if codec_pool is None:
-            backend = resolve_backend(backend, source=event_source)
-            if backend == "process" and registry is not DEFAULT_REGISTRY:
-                # A process pool refuses a custom registry; an owned
-                # pool can still pick threads instead.
-                _warn_fallback(
-                    event_source,
-                    "custom codec registry cannot cross the process boundary",
-                )
-                backend = "thread"
-            codec_pool = _own_pool(workers, backend, "repro-decode")
+            codec_pool = CodecThreadPool(workers, name="repro-decode")
         self._codec_pool = codec_pool
         self._registry = registry
         self._resync = resync
@@ -807,14 +840,9 @@ class ParallelBlockDecoder:
         return self._codec_pool.workers
 
     @property
-    def codec_pool(self) -> CodecPool:
+    def codec_pool(self) -> CodecThreadPool:
         """The codec pool this decoder's jobs run on."""
         return self._codec_pool
-
-    @property
-    def backend(self) -> str:
-        """Which codec pool decompress jobs run on."""
-        return self._codec_pool.backend
 
     @property
     def bytes_in(self) -> int:
@@ -1046,8 +1074,7 @@ def make_block_decoder(
     max_in_flight: Optional[int] = None,
     pool: Optional[BufferPool] = None,
     event_source: str = "decode-pipeline",
-    codec_pool: Optional[CodecPool] = None,
-    backend: str = "thread",
+    codec_pool: Optional[CodecThreadPool] = None,
 ) -> Union[BlockReader, ResyncBlockReader, ParallelBlockDecoder]:
     """Serial or parallel block decoder behind one interface.
 
@@ -1056,20 +1083,13 @@ def make_block_decoder(
     :class:`~repro.core.recovery.ResyncBlockReader` — i.e. exactly
     today's code path with zero threading overhead.  ``workers>1``
     returns a :class:`ParallelBlockDecoder`.  ``codec_pool`` routes
-    decompress jobs to a shared codec pool of either kind (always the
-    parallel class then) instead of one owned by this decoder; a shared
-    process pool refuses a custom ``registry``, so reading raises
-    instead of decoding with the workers' default codecs.
-    ``backend="process"`` decompresses on worker processes (see
-    :func:`make_block_encoder`); it returns the parallel class even at
-    ``workers=1`` and degrades to threads when unavailable (or when a
-    custom ``registry`` is in play).
+    decompress jobs to a shared codec pool (always the parallel class
+    then) instead of one owned by this decoder.
     """
     if codec_pool is None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        backend = resolve_backend(backend, source=event_source)
-        if workers == 1 and backend == "thread":
+        if workers == 1:
             if resync:
                 return ResyncBlockReader(source, registry)
             return BlockReader(source, registry, pool=pool)
@@ -1084,5 +1104,4 @@ def make_block_decoder(
         pool=pool,
         event_source=event_source,
         codec_pool=codec_pool,
-        backend=backend,
     )

@@ -43,9 +43,6 @@ class StaticBlockWriter:
     ``workers`` > 1 compresses blocks on a thread pipeline
     (:class:`~repro.core.pipeline.ParallelBlockEncoder`) while keeping
     the wire stream byte-identical to the serial path.
-    ``backend="process"`` runs those codec jobs on worker processes
-    instead — same wire bytes, true multi-core scaling (see
-    :mod:`repro.core.procpool`).
     """
 
     #: Telemetry source label of the writer's encoder.
@@ -59,7 +56,6 @@ class StaticBlockWriter:
         *,
         block_size: int = DEFAULT_BLOCK_SIZE,
         workers: int = 1,
-        backend: str = "thread",
     ) -> None:
         if not 1 <= block_size <= MAX_BLOCK_LEN:
             raise ValueError(
@@ -72,9 +68,7 @@ class StaticBlockWriter:
         self.block_size = block_size
         self._buffer = bytearray()
         self._closed = False
-        self._writer = make_block_encoder(
-            sink, workers=workers, backend=backend, source=self._source
-        )
+        self._writer = make_block_encoder(sink, workers=workers, source=self._source)
 
     # -- statistics -------------------------------------------------
 
@@ -172,10 +166,10 @@ class AdaptiveBlockWriter(StaticBlockWriter):
 
     A :class:`StaticBlockWriter` whose level the controller re-decides
     every ``epoch_seconds`` of clock time, based on the achieved
-    application data rate.  ``workers`` and ``backend`` behave as
-    there; with either encoder the controller records uncompressed
-    bytes when a block is submitted, and a level switch takes effect
-    on subsequently *submitted* blocks.
+    application data rate.  ``workers`` behaves as there; with either
+    encoder the controller records uncompressed bytes when a block is
+    submitted, and a level switch takes effect on subsequently
+    *submitted* blocks.
 
     The clock is injectable so tests can drive time deterministically.
     """
@@ -192,7 +186,6 @@ class AdaptiveBlockWriter(StaticBlockWriter):
         alpha: float = DEFAULT_ALPHA,
         initial_level: int = 0,
         workers: int = 1,
-        backend: str = "thread",
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         # The controller checks its own arguments before the encoder
@@ -212,7 +205,6 @@ class AdaptiveBlockWriter(StaticBlockWriter):
             levels,
             block_size=block_size,
             workers=workers,
-            backend=backend,
         )
 
     @property

@@ -5,8 +5,7 @@
 * ``pack SRC DST`` — compress a file into the self-contained block
   format, adaptively by default (``--level`` forces a static level).
 * ``unpack SRC DST`` — restore; every block names its codec, so the
-  only knobs are ``--workers`` and ``--backend`` for parallel
-  decompression (threads or worker processes).
+  only knob is ``--workers`` for parallel decompression.
 * ``info FILE`` — inspect a packed file without decompressing: block
   count, per-codec histogram, ratios (shows which levels the adaptive
   scheme actually chose over the course of the stream).
@@ -72,13 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="compression workers (1 = serial; output is identical)",
     )
-    pack.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default="thread",
-        help="codec worker backend: 'process' scales past the GIL "
-        "(falls back to threads where shared memory is unavailable)",
-    )
 
     unpack = sub.add_parser("unpack", help="restore a packed file")
     unpack.add_argument("src")
@@ -88,12 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="decompression workers (1 = serial; output is identical)",
-    )
-    unpack.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default="thread",
-        help="codec worker backend (see 'pack --backend')",
     )
 
     info = sub.add_parser("info", help="inspect a packed file")
@@ -113,13 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="shared codec workers (0 = auto)",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default="thread",
-        help="codec pool backend: 'process' shards flows across "
-        "single-worker codec processes, one per codec worker",
     )
     serve.add_argument(
         "--level",
@@ -217,7 +196,6 @@ def cmd_pack(args: argparse.Namespace) -> int:
             block_size=args.block_size,
             epoch_seconds=args.epoch_seconds,
             workers=args.workers,
-            backend=args.backend,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -230,9 +208,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
 
 
 def cmd_unpack(args: argparse.Namespace) -> int:
-    nbytes = decompress_file(
-        args.src, args.dst, workers=args.workers, backend=args.backend
-    )
+    nbytes = decompress_file(args.src, args.dst, workers=args.workers)
     print(f"restored {nbytes:,} bytes")
     return 0
 
@@ -264,7 +240,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_flows=args.max_flows,
         backlog=args.backlog,
         codec_workers=args.workers,
-        codec_backend=args.backend,
         level=args.level,
         epoch_seconds=args.epoch_seconds,
         idle_timeout=args.idle_timeout,

@@ -213,7 +213,6 @@ class ReceiverThread(threading.Thread):
         *,
         resync: bool = False,
         decode_workers: int = 1,
-        backend: str = "thread",
         accept_timeout: Optional[float] = DEFAULT_ACCEPT_TIMEOUT,
         recv_timeout: Optional[float] = None,
         backlog: int = DEFAULT_BACKLOG,
@@ -225,7 +224,6 @@ class ReceiverThread(threading.Thread):
         self._recv_timeout = recv_timeout
         self._resync = resync
         self._decode_workers = decode_workers
-        self._backend = backend
         self.address = self._listener.getsockname()
         self.bytes_received = 0
         self.blocks_received = 0
@@ -253,7 +251,6 @@ class ReceiverThread(threading.Thread):
                 decoder = make_block_decoder(
                     SocketSource(conn),
                     workers=self._decode_workers,
-                    backend=self._backend,
                     resync=self._resync,
                     pool=BufferPool(),
                     event_source="socket-decode",
@@ -335,7 +332,6 @@ def run_socket_transfer(
     chunk_bytes: int = 64 * 1024,
     workers: int = 1,
     decode_workers: int = 1,
-    backend: str = "thread",
     resync: bool = False,
     connect_policy: Optional[RetryPolicy] = None,
     send_timeout: Optional[float] = None,
@@ -357,11 +353,6 @@ def run_socket_transfer(
     decodes through a
     :class:`~repro.core.pipeline.ParallelBlockDecoder` instead of the
     serial reader — same plaintext, decompression spread across cores.
-    ``backend="process"`` moves both ends' codec work onto worker
-    processes (:class:`~repro.core.procpool.CodecProcessPool`) for true
-    multi-core scaling past the GIL; wire bytes and plaintext stay
-    byte-identical, and the knob degrades to threads with a one-time
-    warning where shared memory is unavailable.
     Each frame goes out as header+payload parts in one ``sendmsg`` via
     :class:`VectoredSocketWriter`, unless ``wrap_sink`` or
     ``rate_limit`` interposes a byte-stream wrapper that must see every
@@ -388,7 +379,6 @@ def run_socket_transfer(
     receiver = ReceiverThread(
         resync=resync,
         decode_workers=decode_workers,
-        backend=backend,
         accept_timeout=accept_timeout,
         recv_timeout=recv_timeout,
         backlog=backlog,
@@ -435,7 +425,6 @@ def run_socket_transfer(
                 epoch_seconds=epoch_seconds,
                 alpha=alpha,
                 workers=workers,
-                backend=backend,
             )
         else:
             writer = StaticBlockWriter(
@@ -444,7 +433,6 @@ def run_socket_transfer(
                 levels,
                 block_size=block_size,
                 workers=workers,
-                backend=backend,
             )
 
         next_progress = PROGRESS_EVERY_BYTES

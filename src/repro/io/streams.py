@@ -42,7 +42,6 @@ def compress_file(
     epoch_seconds: float = 0.25,
     alpha: float = 0.2,
     workers: int = 1,
-    backend: str = "thread",
     clock: Callable[[], float] = time.monotonic,
 ) -> FileCompressionResult:
     """Compress ``src_path`` into a framed block stream at ``dst_path``.
@@ -50,11 +49,9 @@ def compress_file(
     ``static_level=None`` uses the adaptive scheme; the level then
     tracks the *throughput* achieved on this machine for this data,
     exactly like the channel integration.  ``workers`` > 1 compresses
-    blocks on a thread pipeline with byte-identical output;
-    ``backend="process"`` uses worker processes instead (true
-    multi-core scaling, still byte-identical).  Arguments the writer
-    refuses create no ``dst_path``, and a pack that fails after it is
-    created removes the partial file.
+    blocks on a thread pipeline with byte-identical output.  Arguments
+    the writer refuses create no ``dst_path``, and a pack that fails
+    after it is created removes the partial file.
     """
     t0 = clock()
     with open(src_path, "rb") as src:
@@ -69,7 +66,6 @@ def compress_file(
                 epoch_seconds=epoch_seconds,
                 alpha=alpha,
                 workers=workers,
-                backend=backend,
                 clock=clock,
             )
         else:
@@ -79,7 +75,6 @@ def compress_file(
                 levels,
                 block_size=block_size,
                 workers=workers,
-                backend=backend,
             )
         try:
             with open(dst_path, "wb") as dst:
@@ -108,23 +103,19 @@ class _Sink:
     write: Optional[Callable[[bytes], int]] = None
 
 
-def decompress_file(
-    src_path: str, dst_path: str, *, workers: int = 1, backend: str = "thread"
-) -> int:
+def decompress_file(src_path: str, dst_path: str, *, workers: int = 1) -> int:
     """Restore a block stream produced by :func:`compress_file`.
 
     Returns the number of bytes written.  No configuration is needed:
     every block names its own codec.  ``workers`` > 1 decompresses on a
     :class:`~repro.core.pipeline.ParallelBlockDecoder` — byte-identical
-    output, decode spread across cores — and ``backend="process"``
-    moves the decompression to worker processes.
+    output, decode spread across cores.
     """
     total = 0
     with open(src_path, "rb") as src, open(dst_path, "wb") as dst:
         decoder = make_block_decoder(
             src,
             workers=workers,
-            backend=backend,
             pool=BufferPool(),
             event_source="file-decode",
         )

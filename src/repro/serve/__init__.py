@@ -11,15 +11,12 @@ flows, one daemon* counterpart:
   fairness and graceful drain.  All flows share one
   :class:`~repro.core.pipeline.CodecThreadPool` and one
   :class:`~repro.core.buffers.BufferPool`; accepting another flow
-  never creates another thread.  ``codec_backend="process"`` shards
-  flows across single-worker
-  :class:`~repro.core.procpool.CodecProcessPool` shards instead, so
-  concurrent flows compress on separate cores.
+  never creates another thread.
 * :mod:`~repro.serve.flow` — :class:`Flow`, the per-connection state
   machine (handshaking → streaming → draining → closed), each with its
   own :class:`~repro.core.controller.AdaptiveController` instance in
-  echo mode.  A flow submits its codec jobs to whichever pool it was
-  given through the one typed contract both pools share.
+  echo mode.  A flow submits its codec jobs to the shared pool through
+  its typed calls (see :mod:`repro.core.pipeline`).
 * :mod:`~repro.serve.protocol` — the hello/control wire framing around
   the stock block frames of :mod:`repro.codecs.block`.
 * :mod:`~repro.serve.client` — :class:`ServeClient`, which uploads (or

@@ -13,9 +13,9 @@ live daemon without speaking the block protocol:
   :func:`~repro.telemetry.exporters.prom_label_escape`, so a hostile
   peer string cannot corrupt the exposition.
 * ``GET /healthz`` — readiness/liveness JSON; HTTP 200 while the loop
-  is live and accepting, 503 once draining/stopped or when a codec
-  pool shard reports a broken worker.  The body carries the suppressed
-  internal-error tallies (see ``TransferServer._internal_error``).
+  is live and accepting, 503 once draining or stopped.  The body
+  carries the suppressed internal-error tallies (see
+  ``TransferServer._internal_error``).
 * ``GET /flows`` — JSON snapshot of every flow's state machine and its
   controller's last decision.
 * ``POST /reload`` — hot config reload: a JSON body of reloadable keys

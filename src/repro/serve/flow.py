@@ -7,15 +7,13 @@ handshake to teardown::
     DRAINING --codec jobs drained, trailer flushed--> CLOSED
 
 A flow owns **no threads**.  All of its methods run on the server's
-single event-loop thread, except its codec jobs, which run on the codec
-pool the server assigned it — the shared
-:class:`~repro.core.pipeline.CodecThreadPool` (the default), or a
-:class:`~repro.core.procpool.CodecProcessPool` shard whose worker
-process works on another core entirely.  The flow talks to either
-through the same typed calls (``submit_decompress``/``submit_compress``
-with an ``on_done`` callback), and a completion only stores its result
-under the flow's lock and calls the server's ``notify`` callback, so
-the loop thread remains the only place where state advances.  The loop
+single event-loop thread, except its codec jobs, which run on the
+server's shared :class:`~repro.core.pipeline.CodecThreadPool`.  The
+flow submits them through the pool's typed calls
+(``submit_decompress``/``submit_compress`` with an ``on_done``
+callback), and a completion only stores its result under the flow's
+lock and calls the server's ``notify`` callback, so the loop thread
+remains the only place where state advances.  The loop
 calls :meth:`handle_read` / :meth:`handle_write` on selector readiness
 and :meth:`pump` after any readiness or job completion; ``pump`` is
 idempotent and drives every transition.
@@ -29,7 +27,7 @@ plaintext CRC folds in the verified frame CRC
 again; and when the echo level is NO that copy goes back under a
 freshly packed flags-0 header, the frame a NO re-encode would write.  A
 compressed frame echoed at NO still re-encodes through the pool's
-caller-run rule (see :mod:`repro.core.procpool`).  An identity frame
+caller-run rule (see :mod:`repro.core.pipeline`).  An identity frame
 that is next in decode order is taken at once, with no result entry
 and no lock, and its NO echo goes straight onto the write queue when it
 is next in encode order; a frame behind a pending pool job waits its
@@ -51,7 +49,7 @@ bytes, which lets TCP push back on a client outrunning the shared
 codec pool without stalling anybody else's flow.  Nothing queued to
 send holds a pool slab: an echo frame is queued as its header and its
 payload, both ``bytes`` of their exact size.  A job the pool refuses
-(closed pool, crashed worker) fails only its own flow.
+(a closed pool) fails only its own flow.
 """
 
 from __future__ import annotations
@@ -80,8 +78,7 @@ from ..codecs.registry import DEFAULT_REGISTRY
 from ..core.buffers import BufferPool
 from ..core.controller import AdaptiveController
 from ..core.levels import CompressionLevelTable
-from ..core.pipeline import CodecPool
-from ..core.procpool import _is_identity
+from ..core.pipeline import CodecThreadPool, _is_identity
 from ..io.sockets import IOV_MAX
 from ..telemetry import spans
 from ..telemetry.events import BUS, TransferProgress
@@ -142,7 +139,7 @@ class Flow:
         peer: str,
         *,
         levels: CompressionLevelTable,
-        codec_pool: CodecPool,
+        codec_pool: CodecThreadPool,
         buffer_pool: BufferPool,
         notify: Callable[["Flow"], None],
         default_level: Optional[int] = None,
@@ -569,7 +566,8 @@ class Flow:
     # -- job completion (any pool thread) ----------------------------
 
     def _decoded(self, seq: int, exc, data) -> None:
-        # A pool view dies with this callback; bytes pass through.
+        # A codec may return a view of its input, whose pooled buffer
+        # is released before this runs; bytes pass through.
         if exc is None and not isinstance(data, bytes):
             data = bytes(data)
         self._complete(self._decode_results, seq, exc if exc is not None else data)
@@ -577,7 +575,7 @@ class Flow:
     def _encoded(self, seq: int, exc, header, payload) -> None:
         result = exc
         if exc is None:
-            # Parts outlive this call; a pool view does not.
+            # Queued frames hold only bytes (see the module docstring).
             if not isinstance(payload, bytes):
                 payload = bytes(payload)
             result = frame_payload(header, payload, vectored=True)

@@ -10,16 +10,6 @@ flows.  Accepting the 17th flow therefore costs a socket and a
 what lets one daemon hold the paper's "many concurrent transfers on one
 shared bottleneck" scenario without thread-per-transfer explosion.
 
-``codec_backend="process"`` swaps the shared thread pool for per-core
-stream sharding: one single-worker
-:class:`~repro.core.procpool.CodecProcessPool` shard per codec worker,
-with flows assigned ``flow_id % shards``.  Codec bytes then cross to
-the worker processes via shared-memory slabs and the GIL stops
-serialising concurrent flows' compression.  Both pools take the same
-typed codec calls, so a flow never knows which kind it was given.
-Where shared memory is unavailable the daemon degrades to the thread
-pool with a one-time warning.
-
 Responsibilities split cleanly:
 
 * the **flow** (``flow.py``) parses frames, submits codec jobs, and
@@ -57,13 +47,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..control import Assignment, FleetController, make_policy
 from ..core.buffers import BufferPool
 from ..core.levels import PAPER_LEVEL_NAMES, default_level_table
-from ..core.pipeline import CodecPool, CodecThreadPool
-from ..core.procpool import (
-    CodecProcessPool,
-    ProcessBackendUnavailable,
-    _warn_fallback,
-    resolve_backend,
-)
+from ..core.pipeline import CodecThreadPool
 from ..io.sockets import DEFAULT_BACKLOG, open_listener
 from ..telemetry.events import (
     BUS,
@@ -126,7 +110,6 @@ class ServeConfig:
     max_flows: int = 64
     backlog: int = DEFAULT_BACKLOG
     codec_workers: int = 0  # 0 → min(4, cpu count), at least 2
-    codec_backend: str = "thread"  # "process": a one-worker shard per codec worker
     max_queued_jobs: int = 0  # 0 → no queue-depth admission check
     idle_timeout: float = 0.0  # seconds; 0 → never time a flow out
     level: Optional[str] = None  # echo re-encode level name; None → adaptive
@@ -156,8 +139,6 @@ class ServeConfig:
             raise ValueError("max_queued_jobs must be >= 0")
         if self.codec_workers < 0:
             raise ValueError("codec_workers must be >= 0")
-        if self.codec_backend not in ("thread", "process"):
-            raise ValueError(f"unknown codec_backend {self.codec_backend!r}")
         if self.idle_timeout < 0:
             raise ValueError("idle_timeout must be >= 0")
         if self.epoch_seconds <= 0:
@@ -196,6 +177,11 @@ class TransferServer:
 
     TELEMETRY_SOURCE = "serve"
 
+    #: The daemon runs every flow's codec jobs on one thread pool;
+    #: benchmark reports record these next to :attr:`codec_workers`.
+    codec_backend = "thread"
+    codec_shards = 1
+
     def __init__(
         self,
         config: Optional[ServeConfig] = None,
@@ -206,42 +192,12 @@ class TransferServer:
         self.config = config or ServeConfig()
         self._levels = default_level_table()
         self._clock = clock
-        workers = self.config.codec_workers or _default_workers()
         self._buffer_pool = BufferPool()
-
-        # Codec pools: one shared thread pool (default), or — with
-        # ``codec_backend="process"`` — one single-worker process-pool
-        # shard per codec worker, flows assigned round-robin, so
-        # concurrent flows' codec work runs on genuinely separate cores.
-        # An explicitly injected ``codec_pool`` always means threads,
-        # and is the caller's to close.
-        backend = self.config.codec_backend
-        if codec_pool is not None:
-            backend = "thread"
-        else:
-            backend = resolve_backend(backend, source=self.TELEMETRY_SOURCE)
-        self._owns_pools = codec_pool is None
-        self._codec_pools: List[CodecPool] = []
-        if backend == "process":
-            try:
-                for i in range(workers):
-                    self._codec_pools.append(
-                        CodecProcessPool(1, name=f"repro-serve-codec-p{i}")
-                    )
-            except ProcessBackendUnavailable as exc:
-                # The availability probe passed but real construction
-                # did not (resource limits, races); degrade like any
-                # other unavailability instead of failing the daemon.
-                for pool in self._codec_pools:
-                    pool.terminate()
-                self._codec_pools = []
-                _warn_fallback(self.TELEMETRY_SOURCE, str(exc))
-                backend = "thread"
-        if backend == "thread":
-            self._codec_pools = [
-                codec_pool or CodecThreadPool(workers, name="repro-serve-codec")
-            ]
-        self.codec_backend = backend
+        # An injected ``codec_pool`` is the caller's to close.
+        self._owns_pool = codec_pool is None
+        self._codec_pool = codec_pool or CodecThreadPool(
+            self.config.codec_workers or _default_workers(), name="repro-serve-codec"
+        )
         self._controller = self._make_controller()
 
         # Bind in the constructor so tests can read ``address`` (and
@@ -295,36 +251,18 @@ class TransferServer:
     # -- shared substrate (exposed for tests and telemetry) ----------
 
     @property
-    def codec_pool(self) -> Optional[CodecThreadPool]:
-        """The shared thread pool (None under the process backend)."""
-        return self._codec_pools[0] if self.codec_backend == "thread" else None
+    def codec_pool(self) -> CodecThreadPool:
+        """The one codec pool every flow's jobs run on."""
+        return self._codec_pool
 
     @property
     def codec_workers(self) -> int:
-        """Total codec workers across every codec pool shard."""
-        return sum(pool.workers for pool in self._codec_pools)
-
-    @property
-    def codec_shards(self) -> int:
-        """Number of codec pool shards flows are spread across."""
-        return len(self._codec_pools)
+        """Worker threads in the codec pool."""
+        return self._codec_pool.workers
 
     def codec_stats(self) -> dict:
-        """Merged codec-pool snapshot across every shard.
-
-        ``executors`` lists each shard's own ``stats()``.
-        """
-        per_shard = [pool.stats() for pool in self._codec_pools]
-        return {
-            "backend": self.codec_backend,
-            "shards": len(per_shard),
-            "workers": self.codec_workers,
-            "jobs_submitted": sum(s.get("jobs_submitted", 0) for s in per_shard),
-            "jobs_completed": sum(s.get("jobs_completed", 0) for s in per_shard),
-            "job_failures": sum(s.get("job_failures", 0) for s in per_shard),
-            "queued": sum(s.get("queued", 0) for s in per_shard),
-            "executors": per_shard,
-        }
+        """The codec pool's counter snapshot."""
+        return self._codec_pool.stats()
 
     @property
     def buffer_pool(self) -> BufferPool:
@@ -486,7 +424,7 @@ class TransferServer:
                 conn,
                 peer=f"{addr[0]}:{addr[1]}" if isinstance(addr, tuple) else str(addr),
                 levels=self._levels,
-                codec_pool=self._codec_pools[flow_id % len(self._codec_pools)],
+                codec_pool=self._codec_pool,
                 buffer_pool=self._buffer_pool,
                 notify=self._notify,
                 default_level=self._default_level,
@@ -504,7 +442,7 @@ class TransferServer:
         if len(self._flows) >= self.config.max_flows:
             return "max-flows"
         limit = self.config.max_queued_jobs
-        if limit and sum(pool.qsize() for pool in self._codec_pools) >= limit:
+        if limit and self._codec_pool.qsize() >= limit:
             return "codec-queue-full"
         return None
 
@@ -845,15 +783,13 @@ class TransferServer:
             self._publish_pool_stats(now)
 
     def _publish_pool_stats(self, ts: float) -> None:
-        # Summed across shards: under the process backend each shard is
-        # its own pool, but load and capacity are daemon-wide numbers.
         BUS.publish(
             PipelineQueueDepth(
                 ts=ts,
                 source=f"{self.TELEMETRY_SOURCE}-codec",
-                depth=sum(pool.qsize() for pool in self._codec_pools),
-                in_flight=sum(pool.in_flight for pool in self._codec_pools),
-                workers=self.codec_workers,
+                depth=self._codec_pool.qsize(),
+                in_flight=self._codec_pool.in_flight,
+                workers=self._codec_pool.workers,
             )
         )
         stats = self._buffer_pool.stats()
@@ -929,22 +865,18 @@ class TransferServer:
     def healthz(self) -> Tuple[bool, Dict[str, object]]:
         """``(ready, detail)`` for the admin ``/healthz`` endpoint.
 
-        Ready means: the loop is live, not draining, and no codec pool
-        shard reports a broken worker.  The detail dict carries the
-        individual verdicts plus the suppressed-error tallies so a
-        probe failure is diagnosable from the probe body alone.
+        Ready means: the loop is live and not draining.  The detail dict
+        carries the individual verdicts plus the suppressed-error
+        tallies so a probe failure is diagnosable from the probe body
+        alone.
         """
-        codec = self.codec_stats()
-        broken = any(s.get("broken") for s in codec["executors"])
         live = self._running.is_set() and not self._finished.is_set()
-        ready = live and not self._draining and not self._closed and not broken
+        ready = live and not self._draining and not self._closed
         return ready, {
             "ready": ready,
             "live": live,
             "draining": self._draining,
             "closed": self._closed,
-            "codec_broken": broken,
-            "codec_backend": self.codec_backend,
             "active_flows": len(self._flows),
             "internal_errors": self.internal_errors,
             "internal_error_sites": dict(self.internal_error_sites),
@@ -971,9 +903,8 @@ class TransferServer:
         self._waker_w.close()
         if BUS.active:
             self._publish_pool_stats(BUS.now())
-        if self._owns_pools:
-            for pool in self._codec_pools:
-                pool.close()
+        if self._owns_pool:
+            self._codec_pool.close()
 
     # -- context manager ---------------------------------------------
 

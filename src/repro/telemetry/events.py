@@ -33,7 +33,6 @@ __all__ = [
     "TransferProgress",
     "PipelineQueueDepth",
     "BufferPoolStats",
-    "CodecBackendFallback",
     "BackoffUpdated",
     "FaultInjected",
     "BlockSkipped",
@@ -145,23 +144,6 @@ class BufferPoolStats(TelemetryEvent):
     misses: int
     oversize: int
     free_slabs: int
-
-
-@dataclass(frozen=True, slots=True)
-class CodecBackendFallback(TelemetryEvent):
-    """A requested codec backend was unavailable and got substituted.
-
-    Emitted (at most once per process per reason) when
-    ``backend="process"`` was requested but
-    ``multiprocessing.shared_memory`` or a usable start method is
-    missing, so the pipeline silently ran threads instead.  ``reason``
-    is a short human-readable cause string.
-    """
-
-    source: str
-    requested: str
-    resolved: str
-    reason: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,7 +338,6 @@ EVENT_TYPES: Tuple[Type[TelemetryEvent], ...] = (
     TransferProgress,
     PipelineQueueDepth,
     BufferPoolStats,
-    CodecBackendFallback,
     BackoffUpdated,
     FaultInjected,
     BlockSkipped,

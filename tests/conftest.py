@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.codecs import (
@@ -51,3 +54,28 @@ def all_codecs():
 @pytest.fixture(params=all_codecs(), ids=lambda c: c.name)
 def codec(request):
     return request.param
+
+
+class ThreadBaseline:
+    """The threads alive when it was made; :meth:`new` lists the rest.
+
+    Threads are compared by identity, not counted: a count also holds
+    when one thread leaks while an unrelated one exits, and fails when
+    a thread an earlier test left behind exits meanwhile.
+    """
+
+    def __init__(self) -> None:
+        self._threads = frozenset(threading.enumerate())
+
+    def new(self, *, settle: float = 0.0) -> list:
+        """Live threads started since the baseline.
+
+        With ``settle`` it first waits up to that many seconds for them
+        to exit, so threads already on their way out do not count.
+        """
+        deadline = time.monotonic() + settle
+        while True:
+            started = [t for t in threading.enumerate() if t not in self._threads]
+            if not started or time.monotonic() >= deadline:
+                return started
+            time.sleep(0.02)

@@ -1,12 +1,11 @@
-"""Property tests: serial, thread and process codec backends agree.
+"""Property tests: the serial and threaded codec paths agree.
 
-The whole point of ``backend="process"`` is that it is a pure substrate
-swap — whatever the block sizes, flush boundaries, compression levels
-or mid-stream faults, the bytes on the wire and the bytes recovered
-must be identical across the serial writer/reader, the thread pipeline
-and the multiprocess shared-memory pipeline.  Hypothesis drives the
-block plans; one module-scoped :class:`CodecProcessPool` keeps worker
-boot out of every example.
+Whatever the block sizes, flush boundaries, compression levels or
+mid-stream faults, the bytes on the wire and the bytes recovered must
+be identical across the serial writer/reader, a pipeline that owns its
+thread pool, and a pipeline on a shared pool (as every serve flow
+runs).  Hypothesis drives the block plans; one module-scoped
+:class:`CodecThreadPool` is the shared pool.
 """
 
 from __future__ import annotations
@@ -19,20 +18,14 @@ from hypothesis import strategies as st
 
 from repro.codecs.block import HEADER, HEADER_SIZE, BlockReader
 from repro.core.levels import default_level_table
-from repro.core.pipeline import make_block_decoder, make_block_encoder
-from repro.core.procpool import CodecProcessPool, process_backend_available
+from repro.core.pipeline import CodecThreadPool, make_block_decoder, make_block_encoder
 
 LEVELS = default_level_table()
 
-pytestmark = pytest.mark.skipif(
-    not process_backend_available(),
-    reason="process backend unavailable on this platform",
-)
-
 
 @pytest.fixture(scope="module")
-def proc_pool():
-    with CodecProcessPool(2, name="parity-proc") as pool:
+def shared_pool():
+    with CodecThreadPool(2, name="parity-shared") as pool:
         yield pool
 
 
@@ -75,45 +68,41 @@ def _frame_offsets(stream: bytes):
 class TestEncodeParity:
     @given(plan=block_plan())
     @settings(max_examples=10, deadline=None)
-    def test_thread_and_process_match_serial(self, proc_pool, plan):
+    def test_threads_match_serial(self, shared_pool, plan):
         blocks, flushes, level = plan
         codec = LEVELS.codec(level)
         serial = _encode(blocks, flushes, codec, workers=1)
         threaded = _encode(blocks, flushes, codec, workers=2)
-        processed = _encode(
-            blocks, flushes, codec, workers=2, codec_pool=proc_pool
-        )
+        shared = _encode(blocks, flushes, codec, workers=2, codec_pool=shared_pool)
         assert threaded == serial
-        assert processed == serial
+        assert shared == serial
 
     @given(plan=block_plan())
     @settings(max_examples=5, deadline=None)
-    def test_one_worker_process_backend_matches_serial(self, proc_pool, plan):
+    def test_one_worker_shared_pool_matches_serial(self, shared_pool, plan):
         blocks, flushes, level = plan
         codec = LEVELS.codec(level)
         serial = _encode(blocks, flushes, codec, workers=1)
-        processed = _encode(
-            blocks, flushes, codec, workers=1, codec_pool=proc_pool
-        )
-        assert processed == serial
+        shared = _encode(blocks, flushes, codec, workers=1, codec_pool=shared_pool)
+        assert shared == serial
 
 
 class TestDecodeParity:
     @given(plan=block_plan())
     @settings(max_examples=10, deadline=None)
-    def test_all_backends_recover_identical_blocks(self, proc_pool, plan):
+    def test_all_backends_recover_identical_blocks(self, shared_pool, plan):
         blocks, flushes, level = plan
         codec = LEVELS.codec(level)
         stream = _encode(blocks, flushes, codec, workers=1)
         serial = list(BlockReader(io.BytesIO(stream)))
         threaded = list(make_block_decoder(io.BytesIO(stream), workers=2))
-        processed = list(
-            make_block_decoder(io.BytesIO(stream), workers=2, codec_pool=proc_pool)
+        shared = list(
+            make_block_decoder(io.BytesIO(stream), workers=2, codec_pool=shared_pool)
         )
         expected = [bytes(b) for b in blocks]
         assert [bytes(b) for b in serial] == expected
         assert [bytes(b) for b in threaded] == expected
-        assert [bytes(b) for b in processed] == expected
+        assert [bytes(b) for b in shared] == expected
 
 
 class TestResyncParity:
@@ -126,9 +115,9 @@ class TestResyncParity:
     )
     @settings(max_examples=10, deadline=None)
     def test_fault_recovery_identical_across_backends(
-        self, proc_pool, blocks, level, corrupt_at
+        self, shared_pool, blocks, level, corrupt_at
     ):
-        """Flip one payload byte mid-stream: every backend must skip the
+        """Flip one payload byte mid-stream: every decoder must skip the
         same frame and recover the same suffix."""
         codec = LEVELS.codec(level)
         stream = bytearray(
@@ -148,10 +137,10 @@ class TestResyncParity:
 
         serial = decode(workers=1)
         threaded = decode(workers=2)
-        processed = decode(workers=2, codec_pool=proc_pool)
+        shared = decode(workers=2, codec_pool=shared_pool)
         expected = [bytes(b) for b in blocks]
         # The corrupted frame is dropped, everything else survives.
         assert all(b in expected for b in serial)
         assert len(serial) >= len(blocks) - 1
         assert threaded == serial
-        assert processed == serial
+        assert shared == serial

@@ -1,10 +1,9 @@
-"""One codec-execution contract, checked against both codec pools.
+"""The codec-execution contract of :class:`~repro.core.pipeline.CodecThreadPool`.
 
-:class:`~repro.core.pipeline.CodecThreadPool` and
-:class:`~repro.core.procpool.CodecProcessPool` take the same typed
-calls (``submit_compress``/``submit_decompress`` with an ``on_done``
-callback) under the same rules, which is what lets the pipelines and
-the serve daemon hold either one.  Every case here runs on both.
+The pipelines and the serve daemon's flows hand codec jobs to the pool
+through its typed calls (``submit_compress``/``submit_decompress`` with
+an ``on_done`` callback); these cases pin the rules they rely on (see
+the :mod:`repro.core.pipeline` docstring).
 """
 
 from __future__ import annotations
@@ -28,53 +27,32 @@ from repro.codecs.registry import CodecRegistry
 from repro.core.buffers import BufferPool
 from repro.core.levels import default_level_table
 from repro.core.pipeline import CodecThreadPool, make_block_decoder
-from repro.core.procpool import CodecProcessPool, process_backend_available
 from repro.data import Compressibility, SyntheticCorpus
 from repro.telemetry.events import BUS, SpanClosed
 
 LEVELS = default_level_table()
 
-BACKENDS = [
-    "thread",
-    pytest.param(
-        "process",
-        marks=pytest.mark.skipif(
-            not process_backend_available(),
-            reason="process backend unavailable on this platform",
-        ),
-    ),
-]
-
-
-def _new_pool(backend: str, workers: int = 2):
-    if backend == "process":
-        return CodecProcessPool(workers, name="contract-proc")
-    return CodecThreadPool(workers, name="contract-thread")
+#: The pool the cases run on; its name is part of every test id.
+POOLS = ["thread"]
 
 
 @pytest.fixture(scope="module")
-def pools():
-    """One lazily started pool per backend, shared by the module."""
-    started: dict = {}
-
-    def get(backend: str):
-        if backend not in started:
-            started[backend] = _new_pool(backend)
-        return started[backend]
-
-    yield get
-    for pool in started.values():
-        pool.close()
+def shared_pool():
+    """One pool shared by the module, as the daemon shares its pool."""
+    with CodecThreadPool(2, name="contract-thread") as pool:
+        yield pool
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return request.param
+@pytest.fixture(params=POOLS)
+def pool(shared_pool):
+    return shared_pool
 
 
-@pytest.fixture()
-def pool(pools, backend):
-    return pools(backend)
+@pytest.fixture(params=POOLS)
+def own_pool():
+    """A one-worker pool of the case's own, closed at teardown."""
+    with CodecThreadPool(1, name="contract-own") as pool:
+        yield pool
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +61,7 @@ def corpus():
 
 
 class _Outcome:
-    """Collects one job's ``on_done`` arguments (copied: views die)."""
+    """Collects one job's ``on_done`` arguments, copied to bytes."""
 
     def __init__(self) -> None:
         self.done = threading.Event()
@@ -176,9 +154,9 @@ class TestErrors:
         exc, _ = out.wait()
         assert isinstance(exc, CodecError)
 
-    def test_submit_after_close_raises_and_releases(self, backend, corpus):
+    def test_submit_after_close_raises_and_releases(self, own_pool, corpus):
         _, header, payload = _compressed(corpus, 2)
-        pool = _new_pool(backend, workers=1)
+        pool = own_pool
         pool.close()
         buffers = BufferPool()
         pooled = buffers.acquire(len(payload))
@@ -191,9 +169,9 @@ class TestErrors:
             pool.submit_compress(b"x", LEVELS.codec(1), on_done=out.compress)
         assert out.calls == 0
 
-    def test_terminate_releases_every_dropped_payload(self, backend, corpus):
+    def test_terminate_releases_every_dropped_payload(self, own_pool, corpus):
         data, header, payload = _compressed(corpus, 3, copies=4)
-        pool = _new_pool(backend, workers=1)
+        pool = own_pool
         buffers = BufferPool()
         jobs = []
         for _ in range(12):
@@ -210,21 +188,9 @@ class TestErrors:
         assert all(got == data for exc, got in outcomes if exc is None)
 
 
-class TestShape:
-    def test_backend_and_stats_keys_match(self, pools):
-        if not process_backend_available():
-            pytest.skip("process backend unavailable on this platform")
-        thread, process = pools("thread"), pools("process")
-        assert (thread.backend, process.backend) == ("thread", "process")
-        assert set(thread.stats()) == set(process.stats())
-        assert thread.stats()["backend"] == "thread"
-        assert process.stats()["backend"] == "process"
-
-
 def test_decoder_keeps_its_registry_on_a_shared_pool(pool):
-    """A registry that cannot resolve the stream's codec must fail the
-    read on every pool: a process pool must refuse it rather than
-    decode with its workers' default registry."""
+    """A registry that cannot resolve the stream's codec fails the read
+    on a shared pool too: the decoder's registry goes with each job."""
     sink = io.BytesIO()
     writer = BlockWriter(sink)
     for i in range(3):
@@ -235,7 +201,7 @@ def test_decoder_keeps_its_registry_on_a_shared_pool(pool):
         io.BytesIO(sink.getvalue()), registry, workers=2, codec_pool=pool
     )
     try:
-        with pytest.raises((UnknownCodecError, ValueError)):
+        with pytest.raises(UnknownCodecError):
             decoder.read_block()
         assert decoder.blocks_read == 0
     finally:
@@ -309,9 +275,9 @@ class TestIdentityJobsRunOnCaller:
         assert out.thread != threading.get_ident()
         assert pool.stats()["caller_runs"] == before
 
-    def test_identity_submit_after_close_raises_and_releases(self, backend, corpus):
+    def test_identity_submit_after_close_raises_and_releases(self, own_pool, corpus):
         data, header, payload = _identity_frame(corpus)
-        pool = _new_pool(backend, workers=1)
+        pool = own_pool
         pool.close()
         buffers = BufferPool()
         pooled = buffers.acquire(len(payload))
@@ -371,8 +337,7 @@ class TestIdentityJobsRunOnCaller:
         ]
 
     def test_custom_registry_for_an_id0_frame(self, pool, corpus):
-        """A thread pool decodes with any registry; a process pool
-        refuses a custom one before any work runs, id 0 included."""
+        """An id-0 frame decodes with the registry it was submitted with."""
         data, header, payload = _identity_frame(corpus)
         registry = CodecRegistry()
         registry.register(NullCodec())
@@ -380,15 +345,6 @@ class TestIdentityJobsRunOnCaller:
         pooled = buffers.acquire(len(payload))
         pooled.view[:] = payload
         out = _Outcome()
-        if pool.backend == "process":
-            with pytest.raises(ValueError, match="registry"):
-                pool.submit_decompress(
-                    header, pooled, registry=registry, on_done=out.decompress
-                )
-            assert out.calls == 0
-        else:
-            pool.submit_decompress(
-                header, pooled, registry=registry, on_done=out.decompress
-            )
-            assert out.args == (None, data)
+        pool.submit_decompress(header, pooled, registry=registry, on_done=out.decompress)
+        assert out.args == (None, data)
         assert pooled.view is None and buffers.free_slabs == 1

@@ -16,6 +16,8 @@ from repro.core.pipeline import (
     make_block_encoder,
 )
 
+from ..conftest import ThreadBaseline
+
 LEVELS = default_level_table()
 
 
@@ -53,12 +55,12 @@ class TestCodecThreadPool:
         assert seen == {0, 1, 2}
 
     def test_close_is_idempotent_and_joins_workers(self):
-        before = threading.active_count()
+        before = ThreadBaseline()
         pool = CodecThreadPool(4)
-        assert threading.active_count() == before + 4
+        assert len(before.new()) == 4
         pool.close()
         pool.close()
-        assert threading.active_count() == before
+        assert before.new() == []
         assert pool.closed
 
     def test_submit_after_close_raises(self):
@@ -133,11 +135,11 @@ class TestSharedPoolPipelines:
             assert done.wait(5.0)
 
     def test_owned_pool_still_closed_with_encoder(self):
-        before = threading.active_count()
+        before = ThreadBaseline()
         enc = ParallelBlockEncoder(io.BytesIO(), workers=2)
-        assert threading.active_count() > before
+        assert before.new()
         enc.close()
-        assert _settle(lambda: threading.active_count() == before)
+        assert before.new(settle=5.0) == []
 
     def test_make_block_encoder_with_codec_pool(self):
         payloads = self._payloads()

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import io
 import os
-import threading
 
 import pytest
 
 from repro.codecs import MAX_BLOCK_LEN, BlockReader
 from repro.core import AdaptiveBlockWriter, StaticBlockWriter, default_level_table
+
+from ..conftest import ThreadBaseline
 
 
 class FakeClock:
@@ -100,12 +101,12 @@ class TestAdaptiveBlockWriter:
             lambda sink, **kw: AdaptiveBlockWriter(sink, clock=FakeClock(), **kw),
             lambda sink, **kw: StaticBlockWriter(sink, 1, **kw),
         ]
-        threads = threading.active_count()
+        threads = ThreadBaseline()
         for make in writers:
             for block_size in (0, -1, MAX_BLOCK_LEN + 1):
                 with pytest.raises(ValueError, match="block_size"):
                     make(io.BytesIO(), block_size=block_size, workers=2)
-            assert threading.active_count() == threads
+            assert threads.new() == []
             payload = os.urandom(MAX_BLOCK_LEN)
             buf = io.BytesIO()
             with make(buf, block_size=MAX_BLOCK_LEN) as writer:

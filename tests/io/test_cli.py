@@ -148,73 +148,6 @@ class TestPackUnpack:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
-    def test_process_backend_same_bytes(self, tmp_path, sample_file):
-        """--backend process swaps the substrate, never the packed bytes."""
-        from repro.core.procpool import process_backend_available
-
-        if not process_backend_available():
-            pytest.skip("process backend unavailable on this platform")
-        threaded = tmp_path / "threaded.abc"
-        processed = tmp_path / "processed.abc"
-        base = ["pack", str(sample_file), "--level", "MEDIUM", "--workers", "2"]
-        assert main(base[:2] + [str(threaded)] + base[2:]) == 0
-        assert (
-            main(base[:2] + [str(processed)] + base[2:] + ["--backend", "process"])
-            == 0
-        )
-        assert processed.read_bytes() == threaded.read_bytes()
-        restored = tmp_path / "back.bin"
-        assert (
-            main(
-                [
-                    "unpack",
-                    str(processed),
-                    str(restored),
-                    "--workers",
-                    "2",
-                    "--backend",
-                    "process",
-                ]
-            )
-            == 0
-        )
-        assert restored.read_bytes() == sample_file.read_bytes()
-
-    def test_process_backend_degrades_when_unavailable(
-        self, tmp_path, sample_file
-    ):
-        """A forced-unavailable process backend must not fail the CLI."""
-        from repro.core import procpool
-
-        saved = procpool._availability
-        procpool._availability = (False, "forced-by-test")
-        procpool._fallback_warned.clear()
-        try:
-            packed = tmp_path / "fallback.abc"
-            restored = tmp_path / "fallback.bin"
-            assert (
-                main(
-                    ["pack", str(sample_file), str(packed), "--backend", "process"]
-                )
-                == 0
-            )
-            assert (
-                main(
-                    [
-                        "unpack",
-                        str(packed),
-                        str(restored),
-                        "--backend",
-                        "process",
-                    ]
-                )
-                == 0
-            )
-            assert restored.read_bytes() == sample_file.read_bytes()
-        finally:
-            procpool._availability = saved
-            procpool._fallback_warned.clear()
-
 
 class TestInfo:
     def test_info_reports_codecs(self, tmp_path, sample_file, capsys):

@@ -9,7 +9,6 @@ TCP connection.
 from __future__ import annotations
 
 import socket
-import threading
 import time
 
 import pytest
@@ -26,33 +25,23 @@ from repro.io import (
 )
 from repro.io.sockets import ReceiverThread
 
+from ..conftest import ThreadBaseline
+
 
 @pytest.fixture(scope="module")
 def corpus():
     return SyntheticCorpus(file_size=64 * 1024, seed=31)
 
 
-def _thread_count() -> int:
-    return threading.active_count()
-
-
-def _settle(baseline: int, deadline: float = 5.0) -> int:
-    """Wait for transient threads to exit; return the final count."""
-    end = time.monotonic() + deadline
-    while threading.active_count() > baseline and time.monotonic() < end:
-        time.sleep(0.02)
-    return threading.active_count()
-
-
 class TestTeardown:
     def test_clean_transfer_leaves_no_threads(self, corpus):
         src = RepeatingSource.from_corpus(Compressibility.HIGH, 400_000, corpus)
-        before = _thread_count()
+        before = ThreadBaseline()
         run_socket_transfer(src, static_level=1, block_size=32 * 1024)
-        assert _settle(before) == before
+        assert before.new(settle=5.0) == []
 
     def test_reset_fault_leaves_no_threads(self, corpus):
-        before = _thread_count()
+        before = ThreadBaseline()
         src = RepeatingSource.from_corpus(Compressibility.HIGH, 600_000, corpus)
         with pytest.raises((ConnectionResetError, ReceiverError)):
             run_socket_transfer(
@@ -63,12 +52,12 @@ class TestTeardown:
                     sink, FaultPlan([Reset(40_000)])
                 ),
             )
-        assert _settle(before) == before
+        assert before.new(settle=5.0) == []
 
     def test_truncation_strict_mode_raises_with_teardown(self, corpus):
         """A mid-frame truncation must fail the strict receiver (it sees
         EOF inside a frame) and still reclaim every resource."""
-        before = _thread_count()
+        before = ThreadBaseline()
         src = RepeatingSource.from_corpus(Compressibility.HIGH, 600_000, corpus)
         with pytest.raises(ReceiverError) as info:
             run_socket_transfer(
@@ -81,12 +70,12 @@ class TestTeardown:
             )
         assert info.value.__cause__ is not None
         assert info.value.blocks_received >= 0
-        assert _settle(before) == before
+        assert before.new(settle=5.0) == []
 
     def test_workers_pipeline_teardown_on_fault(self, corpus):
         """The parallel encoder's workers must also be reclaimed when
         the sink dies mid-transfer."""
-        before = _thread_count()
+        before = ThreadBaseline()
         src = RepeatingSource.from_corpus(Compressibility.HIGH, 900_000, corpus)
         with pytest.raises((ConnectionResetError, ReceiverError)):
             run_socket_transfer(
@@ -98,7 +87,7 @@ class TestTeardown:
                     sink, FaultPlan([Reset(50_000)])
                 ),
             )
-        assert _settle(before) == before
+        assert before.new(settle=5.0) == []
 
 
 class TestTimeoutsAndRetries:
@@ -151,7 +140,7 @@ class TestTimeoutsAndRetries:
     def test_connect_policy_exhaustion_joins_receiver(self, corpus):
         """Kill the listener before the sender connects: the transfer
         must fail with the connect error, not hang."""
-        before = _thread_count()
+        before = ThreadBaseline()
         src = RepeatingSource.from_corpus(Compressibility.HIGH, 100_000, corpus)
 
         real_create = socket.create_connection
@@ -170,7 +159,7 @@ class TestTimeoutsAndRetries:
                 )
         finally:
             socket.create_connection = real_create
-        assert _settle(before) == before
+        assert before.new(settle=5.0) == []
 
 
 class TestResyncOverSockets:

@@ -22,6 +22,8 @@ from repro.nephele import (
     run_job,
 )
 
+from ..conftest import ThreadBaseline
+
 PAYLOAD = b"execution engine payload " * 8  # 200 bytes
 
 
@@ -256,9 +258,19 @@ class TestFailureHandling:
         ]
 
     def test_timeout(self):
-        import time
+        """The job times out while its task still runs; once released,
+        the task thread exits and leaves nothing behind."""
+        import threading
 
+        before = ThreadBaseline()
+        release = threading.Event()
         g = JobGraph("slow")
-        g.add_vertex("sleepy", FunctionTask(lambda ctx: time.sleep(10)))
-        with pytest.raises(JobExecutionError):
-            run_job(g, timeout=0.2)
+        g.add_vertex("sleepy", FunctionTask(lambda ctx: release.wait(10)))
+        try:
+            with pytest.raises(JobExecutionError):
+                run_job(g, timeout=0.2)
+        finally:
+            release.set()
+        assert not [
+            t.name for t in before.new(settle=5.0) if t.name.startswith("nephele-")
+        ]

@@ -8,7 +8,6 @@ telemetry and no leaked threads or file descriptors.
 from __future__ import annotations
 
 import os
-import signal
 import socket
 import threading
 import time
@@ -23,9 +22,7 @@ from repro.serve import (
     TransferServer,
 )
 from repro.serve.protocol import encode_hello, parse_control
-from repro.core import procpool
 from repro.core.pipeline import CodecThreadPool
-from repro.core.procpool import process_backend_available
 from repro.telemetry.events import (
     BUS,
     BufferPoolStats,
@@ -34,6 +31,8 @@ from repro.telemetry.events import (
     FlowRejected,
     PipelineQueueDepth,
 )
+
+from ..conftest import ThreadBaseline
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +126,6 @@ class TestConcurrency:
 
     def test_16_concurrent_flows_byte_identical(self, server, payload):
         results, errors = [], []
-        threads_during = []
 
         def run(i):
             try:
@@ -138,7 +136,6 @@ class TestConcurrency:
                     r = client.echo(payload)
                     assert r.data == payload, f"flow {i}: echoed bytes differ"
                     results.append(r)
-                threads_during.append(threading.active_count())
             except Exception as exc:  # noqa: BLE001 - surfaced in assert
                 errors.append((i, repr(exc)))
 
@@ -175,7 +172,7 @@ class TestConcurrency:
 
     def test_no_thread_per_flow(self, server, payload):
         # Loop thread + 2 codec workers, regardless of flow count.
-        before = threading.active_count()
+        before = ThreadBaseline()
         barrier = threading.Barrier(8)
 
         def run():
@@ -188,7 +185,7 @@ class TestConcurrency:
         for t in workers:
             t.join(timeout=60.0)
         # The 8 client threads are ours; the server side added none.
-        assert threading.active_count() <= before
+        assert before.new() == []
         assert _settle(lambda: server.flows_completed >= 8)
 
 
@@ -318,7 +315,7 @@ class TestLeaks:
         not os.path.isdir("/proc/self/fd"), reason="needs procfs"
     )
     def test_no_fd_or_thread_leak_across_server_lifecycle(self, payload):
-        before_threads = threading.active_count()
+        before_threads = ThreadBaseline()
         before_fds = self._open_fds()
         for _ in range(2):
             srv = TransferServer(ServeConfig(port=0, codec_workers=2)).start()
@@ -327,7 +324,7 @@ class TestLeaks:
             client.upload(payload)
             assert client.echo(payload, server_level="LIGHT").data == payload
             srv.stop(drain=True, timeout=15.0)
-        assert _settle(lambda: threading.active_count() == before_threads)
+        assert before_threads.new(settle=5.0) == []
         assert _settle(lambda: self._open_fds() <= before_fds)
 
     def test_abrupt_client_disconnects_leak_nothing(self, payload):
@@ -407,106 +404,3 @@ class TestTelemetry:
             srv.stop(drain=True, timeout=10.0)
         BUS.subscribe(events.append)  # subscribed only after the fact
         assert events == []
-
-
-class TestProcessBackend:
-    """The daemon's per-core codec sharding (codec_backend="process")."""
-
-    @pytest.fixture()
-    def proc_server(self):
-        if not process_backend_available():
-            pytest.skip("process backend unavailable on this platform")
-        srv = TransferServer(
-            ServeConfig(
-                port=0,
-                max_flows=16,
-                codec_workers=2,
-                codec_backend="process",
-            )
-        ).start()
-        yield srv
-        srv.stop(drain=False)
-
-    def test_upload_and_echo_verified(self, proc_server, payload):
-        assert proc_server.codec_backend == "process"
-        assert proc_server.codec_shards == 2
-        assert proc_server.codec_pool is None  # no shared thread pool
-        result = _client(proc_server).upload(payload)
-        assert result.trailer["ok"] is True
-        assert result.trailer["app_bytes"] == len(payload)
-        echoed = _client(proc_server).echo(payload, server_level="MEDIUM")
-        assert echoed.data == payload
-
-    def test_flows_shard_across_executors(self, proc_server, payload):
-        for _ in range(4):
-            result = _client(proc_server).upload(payload, level="LIGHT")
-            assert result.trailer["ok"] is True
-        stats = proc_server.codec_stats()
-        assert stats["backend"] == "process"
-        assert stats["shards"] == 2
-        assert stats["job_failures"] == 0
-        # Round-robin by flow id: four flows over two shards must have
-        # exercised both of them.
-        assert all(s["jobs_submitted"] > 0 for s in stats["executors"])
-
-    def test_broken_shard_still_serves_identity_flows(self, proc_server, payload):
-        """Identity frames need no codec: NO flows complete on shards whose
-        worker died, and /healthz keeps reporting the broken shards."""
-        for pool in proc_server._codec_pools:
-            os.kill(pool._procs[0].pid, signal.SIGKILL)
-        assert _settle(lambda: all(p.broken for p in proc_server._codec_pools))
-        for _ in range(2):  # consecutive flow ids: one flow per shard
-            assert _client(proc_server).upload(payload, level="NO").trailer["ok"]
-        echoed = _client(proc_server).echo(payload, level="NO", server_level="NO")
-        assert echoed.data == payload
-        ready, detail = proc_server.healthz()
-        assert not ready and detail["codec_broken"]
-
-    def test_concurrent_process_backend_flows(self, proc_server, payload):
-        errors: list = []
-
-        def run():
-            try:
-                result = _client(proc_server).upload(payload)
-                assert result.trailer["ok"] is True
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=run) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60.0)
-        assert not errors
-
-    def test_unavailable_backend_degrades_to_threads(self, payload):
-        saved = procpool._availability
-        procpool._availability = (False, "forced-by-test")
-        procpool._fallback_warned.clear()
-        try:
-            srv = TransferServer(
-                ServeConfig(port=0, codec_workers=2, codec_backend="process")
-            ).start()
-            try:
-                assert srv.codec_backend == "thread"
-                assert srv.codec_pool is not None
-                result = _client(srv).upload(payload)
-                assert result.trailer["ok"] is True
-            finally:
-                srv.stop(drain=True, timeout=15.0)
-        finally:
-            procpool._availability = saved
-            procpool._fallback_warned.clear()
-
-    def test_stop_unlinks_all_segments(self, payload):
-        if not process_backend_available():
-            pytest.skip("process backend unavailable on this platform")
-        srv = TransferServer(
-            ServeConfig(port=0, codec_workers=2, codec_backend="process")
-        ).start()
-        names = [pool._slabs.name for pool in srv._codec_pools]
-        _client(srv).upload(payload)
-        srv.stop(drain=True, timeout=15.0)
-        if os.path.isdir("/dev/shm"):
-            for name in names:
-                assert not os.path.exists(os.path.join("/dev/shm", name))
