@@ -161,27 +161,31 @@ def bench_allocator(repeats: int) -> List[dict]:
         env = Environment()
         link = SharedLink(env, capacity=capacity)
 
-        def best_of(fn, passes=7):
+        def best_of_each(fills, passes=7):
             # Min over several passes: on a shared box a single pass can
-            # absorb scheduler noise large enough to flip the gate.  GC is
+            # absorb scheduler noise large enough to flip the gate.  The
+            # fills alternate inside one loop, so a slow spell of the
+            # host hits both instead of whichever ran during it.  GC is
             # paused during timing — earlier sections leave tens of
             # thousands of live objects, and collection pauses land
             # disproportionately on the faster allocator.
-            best = float("inf")
+            best = [float("inf")] * len(fills)
             gc.collect()
             gc.disable()
             try:
                 for _ in range(passes):
-                    t0 = time.perf_counter()
-                    for fleet in fleets:
-                        fn(fleet)
-                    best = min(best, time.perf_counter() - t0)
+                    for i, fn in enumerate(fills):
+                        t0 = time.perf_counter()
+                        for fleet in fleets:
+                            fn(fleet)
+                        best[i] = min(best[i], time.perf_counter() - t0)
             finally:
                 gc.enable()
             return best
 
-        seed_s = best_of(lambda fleet: seed_water_fill(fleet, capacity))
-        new_s = best_of(link._water_fill)
+        seed_s, new_s = best_of_each(
+            (lambda fleet: seed_water_fill(fleet, capacity), link._water_fill)
+        )
 
         # Sanity: same allocation (up to float noise) before comparing speed.
         seed_alloc = seed_water_fill(fleets[0], capacity)

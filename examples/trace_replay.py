@@ -8,8 +8,8 @@ Operational tooling around the decision schemes:
 2. *replay* the trace through other decision models offline — "what
    would scheme X have chosen at each step?" — without rerunning the
    workload;
-3. crunch the trace with the NumPy analysis helpers (time-weighted
-   level occupancy, rate statistics, uniform resampling for plotting).
+3. summarize the recorded run: time-weighted level occupancy and
+   duration-weighted application-rate statistics.
 
 Run:  python examples/trace_replay.py
 """

@@ -35,7 +35,7 @@ from .lzma_codec import LzmaCodec
 from .null_codec import NullCodec
 from .registry import DEFAULT_REGISTRY, CodecRegistry, build_default_registry
 from .rle_codec import RleCodec
-from .stats import CodecMeasurement, measure_codec, measure_many
+from .stats import CodecMeasurement, measure_codec
 from .zlib_codec import LightZlibCodec, MediumZlibCodec, ZlibCodec
 
 __all__ = [
@@ -73,7 +73,6 @@ __all__ = [
     "MAX_BLOCK_LEN",
     "CodecMeasurement",
     "measure_codec",
-    "measure_many",
     "scan_block_stream",
     "StreamInfo",
     "CodecUsage",

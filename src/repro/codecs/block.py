@@ -511,12 +511,11 @@ class BlockReader:
         *,
         pool: Optional[object] = None,
     ) -> None:
-        self._source = source
         self._registry = registry
         self._pool = pool
-        # Prefer scatter reads straight into our buffer; fall back to
-        # read() for minimal sources (e.g. BoundedPipe-like objects).
-        self._readinto = getattr(source, "readinto", None)
+        # Scatter reads straight into our buffers: every source has
+        # ``readinto`` (files, socket makefiles, SocketSource, BytesIO).
+        self._readinto = source.readinto
         self._header_buf = bytearray(HEADER_SIZE)
         self._header_view = memoryview(self._header_buf)
         self.blocks_read = 0
@@ -532,19 +531,11 @@ class BlockReader:
         """
         n = view.nbytes
         pos = 0
-        if self._readinto is not None:
-            while pos < n:
-                got = self._readinto(view[pos:])
-                if not got:
-                    break
-                pos += got
-        else:
-            while pos < n:
-                chunk = self._source.read(n - pos)
-                if not chunk:
-                    break
-                view[pos : pos + len(chunk)] = chunk
-                pos += len(chunk)
+        while pos < n:
+            got = self._readinto(view[pos:])
+            if not got:
+                break
+            pos += got
         if pos < n:
             if pos == 0 and allow_eof:
                 return False

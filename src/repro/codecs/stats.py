@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .base import Codec
 
@@ -91,13 +91,3 @@ def measure_codec(
         compressed_bytes=len(compressed),
         ratio_stable=ratio_stable,
     )
-
-
-def measure_many(
-    codecs: Sequence[Codec],
-    payload: bytes,
-    *,
-    repeats: int = 3,
-) -> list[CodecMeasurement]:
-    """Measure several codecs on the same payload."""
-    return [measure_codec(c, payload, repeats=repeats) for c in codecs]

@@ -10,7 +10,6 @@ from .controller import AdaptiveController, EpochRecord
 from .decision import (
     DEFAULT_ALPHA,
     DEFAULT_EPOCH_SECONDS,
-    Decision,
     DecisionModel,
     DecisionState,
     get_next_compression_level,
@@ -37,7 +36,6 @@ __all__ = [
     "get_next_compression_level",
     "DecisionModel",
     "DecisionState",
-    "Decision",
     "DEFAULT_ALPHA",
     "DEFAULT_EPOCH_SECONDS",
     "BackoffTable",

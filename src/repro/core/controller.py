@@ -1,23 +1,24 @@
 """The adaptive controller: epoch clock + decision scheme + trace.
 
-This is the piece both execution environments share.  The real I/O path
-(:mod:`repro.io`, :mod:`repro.nephele`) calls :meth:`AdaptiveController.record`
-as application bytes pass through and :meth:`AdaptiveController.poll`
-with wall-clock time; the simulator (:mod:`repro.sim.transfer`) drives
-the very same class with simulated time.  Keeping a single controller
-implementation is what makes the simulation results statements about
-the *algorithm* rather than about a re-implementation of it.
+The real I/O paths drive it with wall-clock time:
+:class:`~repro.core.stream.AdaptiveBlockWriter` (file, socket and
+Nephele channel transfers) and every echo flow of the serve daemon call
+:meth:`AdaptiveController.record` as application bytes pass through and
+:meth:`AdaptiveController.poll` after each block.  The simulator does
+not use this class: :class:`~repro.sim.transfer.TransferSim` keeps its
+own simulated epoch clock and calls its scheme's ``on_epoch`` directly.
+What both share is the scheme — by default the paper's
+:class:`~repro.schemes.rate_based.RateBasedScheme` over
+:class:`~repro.core.decision.DecisionModel` — which is what makes the
+simulation results statements about the *algorithm* rather than about a
+re-implementation of it.
 
-Since the control-plane refactor the controller no longer owns a bare
-:class:`~repro.core.decision.DecisionModel` — it drives any
-:class:`~repro.schemes.base.CompressionScheme` through the uniform
-:class:`~repro.core.flowview.FlowView` /
-:class:`~repro.core.flowview.FlowDecision` interface.  The default
-scheme is the paper's rate-based one, constructed with the same
-parameters as before, so decisions are byte-for-byte identical to the
-pre-refactor path (``model.observe(sample.rate)``).  A fleet controller
-may additionally pin the applied level via :meth:`set_level_override`;
-the scheme keeps learning open-loop while pinned.
+The controller drives any :class:`~repro.schemes.base.CompressionScheme`
+through the uniform :class:`~repro.core.flowview.FlowView` /
+:class:`~repro.core.flowview.FlowDecision` interface.  To pin the
+applied level while the scheme keeps learning open-loop, drive a
+:class:`~repro.schemes.managed.ManagedScheme` and set its override, as
+the serve daemon's echo flows do.
 """
 
 from __future__ import annotations
@@ -103,33 +104,14 @@ class AdaptiveController:
                 n_levels, alpha=alpha, initial_level=initial_level
             )
         self.scheme = scheme
-        self.n_levels = n_levels
         self.flow_id = flow_id
         self.meter = RateMeter(clock_start=clock_start)
         self.trace: List[EpochRecord] = []
         self._epoch_index = 0
-        self._override: Optional[int] = None
 
     @property
     def current_level(self) -> int:
-        if self._override is not None:
-            return self._override
         return self.scheme.current_level
-
-    @property
-    def level_override(self) -> Optional[int]:
-        return self._override
-
-    def set_level_override(self, level: Optional[int]) -> None:
-        """Pin the applied level (clamped), or ``None`` to release.
-
-        While pinned the scheme still observes every epoch, so its rate
-        estimates and backoff state stay warm for release.
-        """
-        if level is None:
-            self._override = None
-        else:
-            self._override = min(max(int(level), 0), self.n_levels - 1)
 
     @property
     def total_bytes(self) -> int:
@@ -166,9 +148,6 @@ class AdaptiveController:
             app_bytes=float(sample.nbytes),
         )
         decision = self.scheme.decide(view)
-        level_after = (
-            self._override if self._override is not None else decision.level_after
-        )
         record = EpochRecord(
             epoch=self._epoch_index,
             start=sample.start,
@@ -176,7 +155,7 @@ class AdaptiveController:
             app_bytes=sample.nbytes,
             app_rate=sample.rate,
             level_before=level_before,
-            level_after=level_after,
+            level_after=decision.level_after,
             backoff_snapshot=self.scheme.backoff_snapshot(),
         )
         self.trace.append(record)

@@ -20,7 +20,7 @@ clamped).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from .backoff import BackoffTable
 
@@ -115,22 +115,6 @@ def get_next_compression_level(
     return ncl  # line 28
 
 
-@dataclass(frozen=True)
-class Decision:
-    """One epoch's outcome, recorded for traces and tests."""
-
-    epoch: int
-    cdr: float
-    pdr: float
-    previous_level: int
-    next_level: int
-    backoff_snapshot: List[int]
-
-    @property
-    def changed(self) -> bool:
-        return self.next_level != self.previous_level
-
-
 class DecisionModel:
     """The full decision process: Algorithm 1 plus its surrounding updates.
 
@@ -160,8 +144,6 @@ class DecisionModel:
             raise ValueError("alpha must be >= 0")
         self.alpha = alpha
         self.state = DecisionState(n_levels=n_levels, ccl=initial_level)
-        self.epoch = 0
-        self.history: List[Decision] = []
 
     @property
     def n_levels(self) -> int:
@@ -218,17 +200,6 @@ class DecisionModel:
             # next probe tries the other side.
             state.inc = not state.inc
 
-        self.history.append(
-            Decision(
-                epoch=self.epoch,
-                cdr=cdr,
-                pdr=pdr,
-                previous_level=ccl,
-                next_level=ncl,
-                backoff_snapshot=state.bck.snapshot(),
-            )
-        )
-        self.epoch += 1
         state.ccl = ncl
         state.pdr = cdr
         return ncl

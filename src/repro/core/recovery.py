@@ -79,8 +79,7 @@ class ResyncFrameScanner:
         *,
         event_source: str = "resync-reader",
     ) -> None:
-        self._source = source
-        self._readinto = getattr(source, "readinto", None)
+        self._readinto = source.readinto
         self._event_source = event_source
         self._buffer = bytearray()
         self._eof = False
@@ -104,24 +103,16 @@ class ResyncFrameScanner:
         buffered = len(self._buffer)
         while buffered < need and not self._eof:
             want = max(need - buffered, _READ_CHUNK)
-            if self._readinto is not None:
-                # Scatter-read straight into the buffer tail (the
-                # receive loop's ``recv_into`` path): grow, fill, trim.
-                self._buffer.extend(bytes(want))
-                with memoryview(self._buffer) as view:
-                    got = self._readinto(view[buffered:])
-                del self._buffer[buffered + (got or 0) :]
-                if not got:
-                    self._eof = True
-                    break
-                buffered += got
-            else:
-                chunk = self._source.read(want)
-                if not chunk:
-                    self._eof = True
-                    break
-                self._buffer.extend(chunk)
-                buffered += len(chunk)
+            # Scatter-read straight into the buffer tail (the receive
+            # loop's ``recv_into`` path): grow, fill, trim.
+            self._buffer.extend(bytes(want))
+            with memoryview(self._buffer) as view:
+                got = self._readinto(view[buffered:])
+            del self._buffer[buffered + (got or 0) :]
+            if not got:
+                self._eof = True
+                break
+            buffered += got
         return len(self._buffer) >= need
 
     def _discard(self, n: int) -> None:

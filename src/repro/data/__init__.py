@@ -9,15 +9,8 @@ from .corpus import (
     generate_high,
     generate_low,
     generate_moderate,
-    write_corpus_files,
 )
-from .datasource import (
-    DataSource,
-    RepeatingSource,
-    Segment,
-    SwitchingSource,
-    iter_blocks,
-)
+from .datasource import DataSource, RepeatingSource, Segment, SwitchingSource
 from .markov import MarkovTextModel
 
 __all__ = [
@@ -28,7 +21,6 @@ __all__ = [
     "generate_high",
     "generate_moderate",
     "generate_low",
-    "write_corpus_files",
     "shannon_entropy",
     "measured_ratio",
     "mean_measured_ratio",
@@ -37,5 +29,4 @@ __all__ = [
     "RepeatingSource",
     "SwitchingSource",
     "Segment",
-    "iter_blocks",
 ]

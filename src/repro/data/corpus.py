@@ -153,35 +153,6 @@ def generate(
     return _GENERATORS[compressibility](n_bytes, seed)
 
 
-def write_corpus_files(
-    directory: str,
-    file_size: int = DEFAULT_FILE_SIZE,
-    seed: int = 0,
-) -> Dict[Compressibility, str]:
-    """Materialize the synthetic corpus to disk.
-
-    Writes one file per compressibility class (``high.bin``,
-    ``moderate.txt``, ``low.jpg-like``) into ``directory`` so the
-    payloads can be fed to external tools (or to ``repro-compress``).
-    Returns the written paths by class.
-    """
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    names = {
-        Compressibility.HIGH: "high.bin",
-        Compressibility.MODERATE: "moderate.txt",
-        Compressibility.LOW: "low.jpg-like",
-    }
-    paths: Dict[Compressibility, str] = {}
-    for compressibility, filename in names.items():
-        path = os.path.join(directory, filename)
-        with open(path, "wb") as fp:
-            fp.write(generate(compressibility, file_size, seed))
-        paths[compressibility] = path
-    return paths
-
-
 class SyntheticCorpus:
     """Cached access to one payload per compressibility class.
 

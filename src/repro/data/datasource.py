@@ -230,14 +230,3 @@ class SwitchingSource(DataSource):
                 taken += chunk
             self._pos += take
         return bytes(out)
-
-
-def iter_blocks(source: DataSource, block_size: int):
-    """Yield ``block_size``-sized chunks from ``source`` until exhausted."""
-    if block_size <= 0:
-        raise ValueError("block_size must be positive")
-    while True:
-        chunk = source.read(block_size)
-        if not chunk:
-            return
-        yield chunk

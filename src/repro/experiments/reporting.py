@@ -9,7 +9,6 @@ numbers is one glance.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -132,24 +131,9 @@ def format_timeseries(
     return f"{label:<12s} |{''.join(cells)}| peak={peak:.3g}"
 
 
-def mean_sd(samples: Sequence[float]) -> str:
-    """The paper's Table II cell format: ``mean (SD)``."""
-    if not samples:
-        return "-"
-    mean = statistics.fmean(samples)
-    sd = statistics.stdev(samples) if len(samples) > 1 else 0.0
-    return f"{mean:.0f} ({sd:.0f})"
-
-
 def check(condition: bool, description: str, failures: Optional[List[str]] = None) -> str:
     """Render a shape assertion as an OK/FAIL line (and collect failures)."""
     status = "OK  " if condition else "FAIL"
     if not condition and failures is not None:
         failures.append(description)
     return f"[{status}] {description}"
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("need at least one value")
-    return math.exp(statistics.fmean(math.log(v) for v in values))

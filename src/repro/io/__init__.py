@@ -1,4 +1,4 @@
-"""Real-mode I/O: throttles, pipes, faults, localhost TCP transfer, file tools."""
+"""Real-mode I/O: throttles, faults, localhost TCP transfer, file tools."""
 
 from .faults import (
     BitFlip,
@@ -9,7 +9,6 @@ from .faults import (
     Stall,
     Truncate,
 )
-from .pipes import BoundedPipe, PipeClosedError, ThrottledPipe
 from .sockets import (
     DEFAULT_BACKLOG,
     ReceiverError,
@@ -24,9 +23,6 @@ from .throttle import ThrottledWriter, TokenBucket
 __all__ = [
     "TokenBucket",
     "ThrottledWriter",
-    "BoundedPipe",
-    "ThrottledPipe",
-    "PipeClosedError",
     "BitFlip",
     "Truncate",
     "Stall",

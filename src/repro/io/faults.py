@@ -12,9 +12,8 @@ identically on every run with the same seed.
 The wrappers speak the plain file-object protocol (``write``/``flush``/
 ``close`` on one side, ``read``/``readinto`` on the other), so they
 compose with everything the real path already uses: socket
-``makefile`` objects, :class:`~repro.io.pipes.BoundedPipe`/
-:class:`~repro.io.pipes.ThrottledPipe`, throttled writers and plain
-files.  Each fired fault publishes a
+``makefile`` objects, throttled writers and plain files.  Each fired
+fault publishes a
 :class:`~repro.telemetry.events.FaultInjected` event (zero cost while
 the bus is idle, like every other hook).
 

@@ -164,16 +164,6 @@ class SocketSource:
     def readinto(self, buf) -> int:
         return self._sock.recv_into(buf)
 
-    def read(self, n: int = -1) -> bytes:
-        if n is None or n < 0:
-            chunks = []
-            while True:
-                chunk = self._sock.recv(64 * 1024)
-                if not chunk:
-                    return b"".join(chunks)
-                chunks.append(chunk)
-        return self._sock.recv(n)
-
 
 class ReceiverError(RuntimeError):
     """The receiver thread failed; carries its progress as context.

@@ -51,20 +51,6 @@ class TokenBucket:
         self._tokens = min(self.capacity, self._tokens + (now - self._last) * self.rate)
         self._last = now
 
-    def try_consume(self, n: float) -> bool:
-        """Non-blocking: take ``n`` tokens if available (and no blocked
-        consumer is ahead in the queue)."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        with self._lock:
-            if self._serving != self._next_ticket:
-                return False  # blocked consumers have priority
-            self._refill()
-            if self._tokens >= n:
-                self._tokens -= n
-                return True
-            return False
-
     def consume(self, n: float) -> None:
         """Block until ``n`` tokens have been taken.
 

@@ -29,15 +29,11 @@ from .records import (
     RecordDecoder,
     RecordSerializationError,
     encode_record,
-    read_records,
 )
 from .tasks import (
-    BatchTask,
     CollectTask,
-    FilterTask,
     FunctionTask,
     MapTask,
-    MergeTask,
     SourceTask,
     Task,
     TaskContext,
@@ -54,9 +50,6 @@ __all__ = [
     "CollectTask",
     "MapTask",
     "FunctionTask",
-    "FilterTask",
-    "BatchTask",
-    "MergeTask",
     "Channel",
     "ChannelSpec",
     "ChannelType",
@@ -73,7 +66,6 @@ __all__ = [
     "run_job",
     "encode_record",
     "RecordDecoder",
-    "read_records",
     "RecordSerializationError",
     "MAX_RECORD_BYTES",
 ]

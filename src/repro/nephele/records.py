@@ -10,7 +10,7 @@ Wire format per record: 4-byte little-endian length + payload.
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Iterator, Optional
+from typing import Iterator, Optional
 
 _LEN = struct.Struct("<I")
 
@@ -72,15 +72,3 @@ class RecordDecoder:
             raise RecordSerializationError(
                 f"{len(self._buffer)} trailing bytes do not form a record"
             )
-
-
-def read_records(stream: BinaryIO, chunk_size: int = 64 * 1024) -> Iterator[bytes]:
-    """Stream records out of a binary file-like object."""
-    decoder = RecordDecoder()
-    while True:
-        chunk = stream.read(chunk_size)
-        if not chunk:
-            break
-        decoder.feed(chunk)
-        yield from decoder.drain()
-    decoder.assert_empty()

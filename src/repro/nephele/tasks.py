@@ -119,54 +119,3 @@ class FunctionTask(Task):
 
     def run(self, ctx: TaskContext) -> None:
         self.fn(ctx)
-
-
-class FilterTask(Task):
-    """Keep only records for which ``predicate`` holds."""
-
-    def __init__(self, predicate: Callable[[bytes], bool]) -> None:
-        self.predicate = predicate
-        self.records_dropped = 0
-
-    def run(self, ctx: TaskContext) -> None:
-        for record in ctx.records():
-            if self.predicate(record):
-                ctx.emit_all(record)
-            else:
-                self.records_dropped += 1
-
-
-class BatchTask(Task):
-    """Coalesce small records into batches of ~``batch_bytes``.
-
-    Useful in front of a compressing channel: larger records mean
-    fuller 128 KB blocks and better ratios.
-    """
-
-    def __init__(self, batch_bytes: int = 64 * 1024) -> None:
-        if batch_bytes <= 0:
-            raise ValueError("batch_bytes must be positive")
-        self.batch_bytes = batch_bytes
-
-    def run(self, ctx: TaskContext) -> None:
-        buffer = bytearray()
-        for record in ctx.records():
-            buffer.extend(record)
-            if len(buffer) >= self.batch_bytes:
-                ctx.emit_all(bytes(buffer))
-                buffer.clear()
-        if buffer:
-            ctx.emit_all(bytes(buffer))
-
-
-class MergeTask(Task):
-    """Concatenate all inputs, in input order, onto the outputs.
-
-    Drains input 0 to exhaustion, then input 1, and so on — the simple
-    union-of-streams vertex for fan-in topologies.
-    """
-
-    def run(self, ctx: TaskContext) -> None:
-        for index in range(ctx.n_inputs):
-            for record in ctx.records(index):
-                ctx.emit_all(record)

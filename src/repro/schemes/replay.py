@@ -66,19 +66,6 @@ def observations_from_result(result: TransferResult) -> List[EpochObservation]:
     ]
 
 
-def decisions_from_result(result: TransferResult, flow_id: int = 0) -> List[FlowDecision]:
-    """Extract the decision sequence actually taken during a transfer."""
-    return [
-        FlowDecision(
-            flow_id=flow_id,
-            epoch=i,
-            level_before=epoch.level,
-            level_after=epoch.next_level,
-        )
-        for i, epoch in enumerate(result.epochs)
-    ]
-
-
 def records_from_epochs(
     epochs: Iterable, flow_id: int = 0
 ) -> Tuple[List[EpochObservation], List[FlowDecision]]:
@@ -196,19 +183,6 @@ def replay(
 ) -> List[int]:
     """Feed a trace through ``scheme``; return its level per epoch."""
     return [scheme.on_epoch(obs) for obs in observations]
-
-
-def replay_decisions(
-    observations: Sequence[EpochObservation] | Iterable[EpochObservation],
-    scheme: CompressionScheme,
-) -> List[FlowDecision]:
-    """Feed a trace through ``scheme`` via the uniform ``decide`` path.
-
-    Returns the full decision records; ``[d.level_after for d in ...]``
-    equals :func:`replay` on a fresh scheme instance — the parity the
-    hypothesis suite pins down.
-    """
-    return [scheme.decide(obs) for obs in observations]
 
 
 def replay_many(

@@ -281,8 +281,9 @@ class Flow:
     def apply_control(self, level: Optional[int], weight: float) -> bool:
         """Apply a fleet assignment to this flow; True when it changed.
 
-        ``level`` pins the echo re-encode level through the per-flow
-        controller's override (``None`` returns it to adaptive);
+        ``level`` pins the echo re-encode level through the override of
+        the per-flow controller's :class:`~repro.schemes.managed.ManagedScheme`
+        (``None`` returns it to adaptive);
         ``weight`` scales the flow's one window for decodes plus echo
         re-encodes — its share of the shared codec substrate — around
         its configured baseline.  A change during STREAMING is announced
@@ -293,7 +294,7 @@ class Flow:
         if level != self._ctl_level:
             self._ctl_level = level
             if self.controller is not None:
-                self.controller.set_level_override(level)
+                self.controller.scheme.set_override(level)
             changed = True
         if weight != self.control_weight:
             self.control_weight = weight
@@ -311,7 +312,7 @@ class Flow:
         ``None`` means adaptive.  Flows whose hello named an explicit
         level keep the client's choice, and sink flows never encode —
         both return ``False``.  Echo flows are retuned through the
-        per-flow controller's ``set_level_override`` (the same lever
+        override of the per-flow controller's scheme (the same lever
         the fleet control plane actuates), so the adaptive scheme keeps
         learning open-loop and a later return to adaptive is seamless —
         the connection itself is never touched.
@@ -320,11 +321,11 @@ class Flow:
         if self._level_from_client or self.mode != MODE_ECHO:
             return False
         was_adaptive = (
-            self._echo_static_level is None and self.controller.level_override is None
+            self._echo_static_level is None and self.controller.scheme.override is None
         )
         before = None if was_adaptive else self.echo_level
         self._echo_static_level = None
-        self.controller.set_level_override(level)
+        self.controller.scheme.set_override(level)
         now_adaptive = level is None
         return (was_adaptive != now_adaptive) or (
             not now_adaptive and before != level
@@ -356,7 +357,7 @@ class Flow:
             "failure": self.failure,
             "level": self.echo_level,
             "adaptive": controller is not None and self._echo_static_level is None,
-            "level_override": controller.level_override if controller else None,
+            "level_override": controller.scheme.override if controller else None,
             "worker_weight": self.control_weight,
             "app_rate": self.last_app_rate,
             "observed_ratio": self.last_ratio,
@@ -481,12 +482,20 @@ class Flow:
         else:
             raise ProtocolError(f"bad level {level!r}")
         if mode == MODE_ECHO:
+            # Imported here, not at module level, so a daemon that only
+            # ever sees sink flows never loads the scheme zoo.
+            from ..schemes.managed import ManagedScheme
+            from ..schemes.rate_based import RateBasedScheme
+
             # The per-flow adaptive scheme instance: each flow re-decides
-            # its own re-encode level from its own achieved rate.
+            # its own re-encode level from its own achieved rate.  Fleet
+            # pins and level reloads set the ManagedScheme's override.
+            n_levels = len(self._levels)
             self.controller = AdaptiveController(
-                n_levels=len(self._levels),
+                n_levels=n_levels,
                 epoch_seconds=self._epoch_seconds,
                 clock_start=self._clock(),
+                scheme=ManagedScheme(RateBasedScheme(n_levels)),
             )
 
     def _reject_handshake(self, reason: str) -> None:

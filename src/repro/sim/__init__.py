@@ -8,15 +8,7 @@ write-back cache artifact), fluctuation processes, and the Section IV
 transfer scenario runner.
 """
 
-from .analysis import (
-    compare_traces,
-    controller_arrays,
-    level_occupancy,
-    rate_statistics,
-    resample_step,
-    trace_arrays,
-    uniform_grid,
-)
+from .analysis import level_occupancy, rate_statistics
 from .calibration import (
     CODEC_MODEL,
     CPU_LOSS_PER_BG_FLOW,
@@ -55,7 +47,6 @@ from .metrics import (
     ThroughputSampler,
     UtilizationSample,
 )
-from .resources import Semaphore, Store
 from .rng import RngStreams
 from .scenario import (
     PAPER_TOTAL_BYTES,
@@ -82,8 +73,6 @@ __all__ = [
     "Timeout",
     "Process",
     "SimulationError",
-    "Store",
-    "Semaphore",
     "RngStreams",
     "SharedLink",
     "Flow",
@@ -129,13 +118,8 @@ __all__ = [
     "FleetResult",
     "SimFleetController",
     "run_fleet_scenario",
-    "trace_arrays",
-    "controller_arrays",
-    "resample_step",
-    "uniform_grid",
     "level_occupancy",
     "rate_statistics",
-    "compare_traces",
     "ScenarioConfig",
     "run_transfer_scenario",
     "make_static_factory",

@@ -1,118 +1,62 @@
-"""NumPy-based analysis of transfer traces.
+"""Summary statistics over simulated transfer traces.
 
-Turns the epoch traces produced by :class:`~repro.sim.transfer.TransferSim`
-(and the real-mode controller) into arrays and uniform time grids, the
-form downstream users need for plotting the paper's Figures 4–6 with
-their own tooling, and provides the summary statistics the experiment
-harness reports.
+Time-weighted level occupancy and application-rate statistics over the
+epochs of a :class:`~repro.sim.transfer.TransferResult`, as
+``examples/trace_replay.py`` prints them.  Each epoch weighs by its
+duration, not as one count.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import math
+from typing import Dict, List
 
-import numpy as np
-
-from ..core.controller import EpochRecord
-from .transfer import TransferEpoch, TransferResult
-
-#: Array fields extracted from a simulation trace.
-SIM_FIELDS = (
-    "start",
-    "end",
-    "level",
-    "app_rate",
-    "wire_rate",
-    "vm_cpu_util",
-    "host_cpu_util",
-)
-
-
-def trace_arrays(result: TransferResult) -> Dict[str, np.ndarray]:
-    """Columnar view of a simulated transfer's epochs."""
-    epochs = result.epochs
-    return {
-        "start": np.array([e.start for e in epochs], dtype=float),
-        "end": np.array([e.end for e in epochs], dtype=float),
-        "level": np.array([e.level for e in epochs], dtype=int),
-        "app_rate": np.array([e.app_rate for e in epochs], dtype=float),
-        "wire_rate": np.array([e.wire_rate for e in epochs], dtype=float),
-        "vm_cpu_util": np.array([e.vm_cpu_util for e in epochs], dtype=float),
-        "host_cpu_util": np.array([e.host_cpu_util for e in epochs], dtype=float),
-    }
-
-
-def controller_arrays(trace: Sequence[EpochRecord]) -> Dict[str, np.ndarray]:
-    """Columnar view of a real-mode controller trace."""
-    return {
-        "start": np.array([r.start for r in trace], dtype=float),
-        "end": np.array([r.end for r in trace], dtype=float),
-        "level": np.array([r.level_after for r in trace], dtype=int),
-        "app_rate": np.array([r.app_rate for r in trace], dtype=float),
-    }
-
-
-def resample_step(
-    times: np.ndarray, values: np.ndarray, grid: np.ndarray
-) -> np.ndarray:
-    """Sample a piecewise-constant signal onto a uniform grid.
-
-    ``values[i]`` is taken to hold from ``times[i]`` onward (step
-    interpolation — the correct reading for levels and epoch rates).
-    Grid points before the first time get ``values[0]``.
-    """
-    if times.ndim != 1 or values.shape != times.shape:
-        raise ValueError("times and values must be 1-D arrays of equal shape")
-    if len(times) == 0:
-        raise ValueError("need at least one sample")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-decreasing")
-    idx = np.searchsorted(times, grid, side="right") - 1
-    idx = np.clip(idx, 0, len(times) - 1)
-    return values[idx]
-
-
-def uniform_grid(result: TransferResult, n_points: int = 200) -> np.ndarray:
-    """A uniform time grid spanning the transfer."""
-    if n_points < 2:
-        raise ValueError("need at least two grid points")
-    return np.linspace(0.0, result.completion_time, n_points)
+from .transfer import TransferResult
 
 
 def level_occupancy(result: TransferResult) -> Dict[int, float]:
     """Fraction of *time* spent at each level (not epoch counts)."""
-    arrays = trace_arrays(result)
-    durations = arrays["end"] - arrays["start"]
-    total = float(durations.sum())
+    durations = [e.end - e.start for e in result.epochs]
+    total = sum(durations)
     if total <= 0:
         return {}
-    occupancy: Dict[int, float] = {}
-    for level in np.unique(arrays["level"]):
-        mask = arrays["level"] == level
-        occupancy[int(level)] = float(durations[mask].sum() / total)
-    return occupancy
+    per_level: Dict[int, float] = {}
+    for epoch, duration in zip(result.epochs, durations):
+        per_level[epoch.level] = per_level.get(epoch.level, 0.0) + duration
+    return {level: per_level[level] / total for level in sorted(per_level)}
 
 
 def rate_statistics(result: TransferResult) -> Dict[str, float]:
-    """Duration-weighted application-rate statistics over a trace."""
-    arrays = trace_arrays(result)
-    durations = arrays["end"] - arrays["start"]
-    rates = arrays["app_rate"]
-    if durations.sum() <= 0:
+    """Duration-weighted application-rate statistics over a trace.
+
+    ``mean`` and ``std`` weigh each epoch by its duration; ``p50`` and
+    ``p95`` are percentiles of the per-epoch rates.
+    """
+    durations = [e.end - e.start for e in result.epochs]
+    rates = [float(e.app_rate) for e in result.epochs]
+    total = sum(durations)
+    if total <= 0:
         raise ValueError("trace has no duration")
-    weights = durations / durations.sum()
-    mean = float(np.sum(weights * rates))
-    var = float(np.sum(weights * (rates - mean) ** 2))
+    weights = [d / total for d in durations]
+    mean = sum(w * r for w, r in zip(weights, rates))
+    var = sum(w * (r - mean) ** 2 for w, r in zip(weights, rates))
+    ordered = sorted(rates)
     return {
         "mean": mean,
-        "std": float(np.sqrt(var)),
-        "min": float(rates.min()),
-        "max": float(rates.max()),
-        "p50": float(np.percentile(rates, 50)),
-        "p95": float(np.percentile(rates, 95)),
+        "std": math.sqrt(var),
+        "min": ordered[0],
+        "max": ordered[-1],
+        "p50": _percentile(ordered, 50),
+        "p95": _percentile(ordered, 95),
     }
 
 
-def compare_traces(results: List[TransferResult]) -> Dict[str, Dict[str, float]]:
-    """Per-scheme rate statistics for a batch of runs."""
-    return {r.scheme_name: rate_statistics(r) for r in results}
+def _percentile(ordered: List[float], q: float) -> float:
+    """The ``q``-th percentile of sorted values, interpolated linearly
+    between the two nearest ranks (Hyndman and Fan's type 7)."""
+    pos = (len(ordered) - 1) * (q / 100)
+    lo = math.floor(pos)
+    if lo >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[lo], ordered[lo + 1]
+    return a + (b - a) * (pos - lo)

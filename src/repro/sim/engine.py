@@ -188,8 +188,9 @@ class Process(Event):
             )
         target.callbacks.append(self._resume)
         if target._triggered and not isinstance(target, Timeout):
-            # Already-triggered event (e.g. an immediately satisfied
-            # Store.get): make sure its callbacks run.  Double-scheduling
+            # Already-triggered event (e.g. an ``env.event()`` that
+            # succeeded before it was yielded, or a finished process):
+            # make sure its callbacks run.  Double-scheduling
             # is harmless — callbacks are drained exactly once per pop.
             # Timeouts are excluded: they are already in the heap at
             # their fire time and must be yielded right after creation.

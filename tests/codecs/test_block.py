@@ -182,21 +182,10 @@ class TestWriterReader:
 
     def test_reader_handles_short_reads(self):
         """Sockets return partial reads; the reader must loop."""
-
-        class DribbleIO:
-            def __init__(self, data: bytes) -> None:
-                self._data = data
-                self._pos = 0
-
-            def read(self, n: int) -> bytes:
-                n = min(n, 3)  # never more than 3 bytes at once
-                chunk = self._data[self._pos : self._pos + n]
-                self._pos += len(chunk)
-                return chunk
-
         data = b"dribble " * 64
         frame = encode_block(data, LightZlibCodec()).frame
-        reader = BlockReader(DribbleIO(frame * 2))
+        # Never more than 3 bytes per readinto.
+        reader = BlockReader(ReadintoIO(bytes(frame * 2), max_chunk=3))
         assert reader.read_block() == data
         assert reader.read_block() == data
         assert reader.read_block() is None
@@ -399,17 +388,3 @@ class TestReaderReadinto:
         reader = BlockReader(source)
         with pytest.raises(TruncatedStreamError):
             reader.read_block()
-
-    def test_read_only_source_still_works(self):
-        """Sources without readinto (e.g. test doubles) use read()."""
-
-        class ReadOnlyIO:
-            def __init__(self, data: bytes) -> None:
-                self._inner = io.BytesIO(data)
-
-            def read(self, n: int) -> bytes:
-                return self._inner.read(min(n, 3))
-
-        blocks = [b"fallback path " * 20]
-        reader = BlockReader(ReadOnlyIO(self.frames(blocks)))
-        assert list(reader) == blocks

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.codecs import LightZlibCodec, NullCodec, measure_codec, measure_many
+from repro.codecs import LightZlibCodec, NullCodec, measure_codec
 
 
 class TestMeasureCodec:
@@ -36,10 +36,6 @@ class TestMeasureCodec:
         )
         assert m.compress_seconds == 1.0
         assert m.decompress_seconds == 1.0
-
-    def test_measure_many(self, moderate_payload):
-        ms = measure_many([NullCodec(), LightZlibCodec()], moderate_payload, repeats=1)
-        assert [m.codec_name for m in ms] == ["null", "zlib-1"]
 
 
 class TestClockResolutionClamp:

@@ -125,16 +125,6 @@ class TestDecisionModelWrapper:
         with pytest.raises(ValueError):
             DecisionState(n_levels=4, ccl=7)
 
-    def test_history_recorded(self):
-        m = DecisionModel(4)
-        m.observe(100.0)
-        m.observe(100.0)
-        assert len(m.history) == 2
-        assert m.history[0].previous_level == 0
-        assert m.history[0].next_level == 1
-        assert m.history[0].epoch == 0
-        assert m.history[1].epoch == 1
-
 
 class TestBoundaryPolicy:
     def test_probe_at_top_reflects_down(self):

@@ -100,26 +100,6 @@ class TestEntropy:
         assert b"\n" in text
 
 
-class TestWriteCorpusFiles:
-    def test_writes_all_three_classes(self, tmp_path):
-        from repro.data import write_corpus_files
-
-        paths = write_corpus_files(str(tmp_path), file_size=4096, seed=2)
-        assert set(paths) == set(Compressibility)
-        for compressibility, path in paths.items():
-            with open(path, "rb") as fp:
-                data = fp.read()
-            assert len(data) == 4096
-            assert data == generate(compressibility, 4096, seed=2)
-
-    def test_creates_directory(self, tmp_path):
-        from repro.data import write_corpus_files
-
-        target = tmp_path / "nested" / "dir"
-        paths = write_corpus_files(str(target), file_size=128)
-        assert all(str(target) in p for p in paths.values())
-
-
 class TestSyntheticCorpus:
     def test_payload_cached(self):
         corpus = SyntheticCorpus(file_size=1024, seed=0)

@@ -12,7 +12,6 @@ from repro.data import (
     Segment,
     SwitchingSource,
     SyntheticCorpus,
-    iter_blocks,
 )
 
 
@@ -165,19 +164,6 @@ class TestSwitchingSource:
                 break
             emitted += len(data)
         assert emitted == total
-
-
-class TestIterBlocks:
-    def test_yields_block_sized_chunks(self):
-        src = RepeatingSource(b"abcdef", 20, Compressibility.LOW)
-        blocks = list(iter_blocks(src, 8))
-        assert [len(b) for b in blocks] == [8, 8, 4]
-        assert b"".join(blocks) == (b"abcdef" * 4)[:20]
-
-    def test_block_size_validation(self):
-        src = RepeatingSource(b"ab", 4, Compressibility.LOW)
-        with pytest.raises(ValueError):
-            list(iter_blocks(src, 0))
 
 
 class TestLazyCorpusSource:

@@ -11,8 +11,6 @@ from repro.experiments.reporting import (
     format_grouped_bars,
     format_table,
     format_timeseries,
-    geometric_mean,
-    mean_sd,
 )
 
 
@@ -78,11 +76,6 @@ class TestBarsAndSeries:
 
 
 class TestSmallHelpers:
-    def test_mean_sd_format(self):
-        assert mean_sd([100.0, 110.0, 90.0]) == "100 (10)"
-        assert mean_sd([5.0]) == "5 (0)"
-        assert mean_sd([]) == "-"
-
     def test_check_ok(self):
         failures = []
         line = check(True, "all good", failures)
@@ -94,8 +87,3 @@ class TestSmallHelpers:
         line = check(False, "broken", failures)
         assert line.startswith("[FAIL")
         assert failures == ["broken"]
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([])

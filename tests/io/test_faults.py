@@ -15,7 +15,6 @@ from repro.io.faults import (
     Stall,
     Truncate,
 )
-from repro.io.pipes import BoundedPipe
 from repro.telemetry.events import BUS, FaultInjected
 
 
@@ -132,13 +131,3 @@ class TestFaultyReader:
         got = r.readinto(buf)
         assert got == 6
         assert bytes(buf) == b"\x00\x04\x00\x00\x00\x00"
-
-    def test_composes_with_bounded_pipe(self):
-        pipe = BoundedPipe(capacity=64)
-        pipe.write(b"x" * 32)
-        pipe.close_write()
-        r = FaultyReader(pipe, FaultPlan([BitFlip(10, mask=0x20)]))
-        data = b"".join(iter(lambda: r.read(8), b""))
-        assert len(data) == 32
-        assert data[10] == ord("x") ^ 0x20
-        assert data.count(b"x") == 31

@@ -209,8 +209,10 @@ class TestSocketSource:
             got = source.readinto(buf)
             assert buf[:got] == b"abcdefgh"[:got]
             left.close()
-            rest = source.read(-1)
-            assert bytes(buf[:got]) + rest == b"abcdefgh"
+            rest = bytearray()
+            while n := source.readinto(buf):
+                rest += buf[:n]
+            assert b"abcdefgh"[:got] + rest == b"abcdefgh"
         finally:
             right.close()
 

@@ -49,17 +49,14 @@ class TestTokenBucket:
         # ~(1000 - 10)/100 s of sleeping.
         assert ft.slept == pytest.approx(9.9, rel=0.05)
 
-    def test_try_consume(self):
-        bucket, _ = make_bucket(capacity=10.0)
-        assert bucket.try_consume(10.0)
-        assert not bucket.try_consume(1.0)
-
     def test_refill_caps_at_capacity(self):
         bucket, ft = make_bucket(rate=100.0, capacity=10.0)
         bucket.consume(10.0)
         ft.now += 100.0  # long idle
-        assert bucket.try_consume(10.0)
-        assert not bucket.try_consume(1.0)  # not 10_000 tokens
+        bucket.consume(10.0)
+        assert ft.slept == 0.0
+        bucket.consume(1.0)  # not 10_000 tokens: waits for a refill
+        assert ft.slept == pytest.approx(0.01)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -69,8 +66,6 @@ class TestTokenBucket:
         bucket, _ = make_bucket()
         with pytest.raises(ValueError):
             bucket.consume(-1)
-        with pytest.raises(ValueError):
-            bucket.try_consume(-1)
 
 
 class TestThrottledWriter:

@@ -2,18 +2,11 @@
 
 from __future__ import annotations
 
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nephele import (
-    RecordDecoder,
-    RecordSerializationError,
-    encode_record,
-    read_records,
-)
+from repro.nephele import RecordDecoder, RecordSerializationError, encode_record
 
 
 class TestEncodeDecode:
@@ -62,16 +55,6 @@ class TestEncodeDecode:
         decoder.feed(b"\x05\x00\x00")
         with pytest.raises(RecordSerializationError):
             decoder.assert_empty()
-
-    def test_read_records_from_stream(self):
-        payload = b"".join(encode_record(bytes([i]) * i) for i in range(10))
-        records = list(read_records(io.BytesIO(payload), chunk_size=7))
-        assert records == [bytes([i]) * i for i in range(10)]
-
-    def test_read_records_truncated_stream(self):
-        payload = encode_record(b"good") + b"\xff\xff\x00\x00trunc"
-        with pytest.raises(RecordSerializationError):
-            list(read_records(io.BytesIO(payload)))
 
     @given(records=st.lists(st.binary(max_size=300), max_size=30))
     @settings(max_examples=100)

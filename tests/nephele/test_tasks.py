@@ -6,13 +6,11 @@ import pytest
 
 from repro.data import Compressibility, RepeatingSource
 from repro.nephele import (
-    BatchTask,
     CollectTask,
-    FilterTask,
+    FunctionTask,
     InMemoryChannel,
     JobGraph,
     MapTask,
-    MergeTask,
     SourceTask,
     TaskContext,
     run_job,
@@ -47,44 +45,14 @@ class TestSourceTask:
             SourceTask(lambda: None, record_bytes=0)
 
 
-class TestFilterTask:
-    def test_predicate_applied(self):
-        task = FilterTask(lambda r: r.startswith(b"keep"))
-        (out,) = run_task(task, [b"keep-1", b"drop-1", b"keep-2"])
-        assert out == [b"keep-1", b"keep-2"]
-        assert task.records_dropped == 1
+def merge(ctx):
+    """Drain every input, in input order, onto the outputs."""
+    for index in range(ctx.n_inputs):
+        for record in ctx.records(index):
+            ctx.emit_all(record)
 
 
-class TestBatchTask:
-    def test_batches_to_target_size(self):
-        task = BatchTask(batch_bytes=10)
-        (out,) = run_task(task, [b"aaa"] * 7)  # 21 bytes total
-        assert b"".join(out) == b"aaa" * 7
-        assert all(len(batch) >= 10 for batch in out[:-1])
-
-    def test_flushes_tail(self):
-        task = BatchTask(batch_bytes=100)
-        (out,) = run_task(task, [b"tiny"])
-        assert out == [b"tiny"]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BatchTask(batch_bytes=0)
-
-
-class TestMergeTask:
-    def test_drains_inputs_in_order(self):
-        in1, in2 = InMemoryChannel(), InMemoryChannel()
-        for record in (b"a1", b"a2"):
-            in1.write_record(record)
-        in2.write_record(b"b1")
-        in1.close_write()
-        in2.close_write()
-        out = InMemoryChannel()
-        MergeTask().run(TaskContext("m", [in1, in2], [out]))
-        out.close_write()
-        assert list(out) == [b"a1", b"a2", b"b1"]
-
+class TestFanIn:
     def test_fan_in_job(self):
         graph = JobGraph("fanin")
         collector = CollectTask(keep_data=True)
@@ -96,7 +64,7 @@ class TestMergeTask:
             "s2",
             SourceTask(lambda: RepeatingSource(b"y", 4, Compressibility.LOW), record_bytes=2),
         )
-        graph.add_vertex("merge", MergeTask())
+        graph.add_vertex("merge", FunctionTask(merge))
         graph.add_vertex("sink", collector)
         graph.connect("s1", "merge")
         graph.connect("s2", "merge")

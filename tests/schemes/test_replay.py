@@ -7,17 +7,15 @@ import io
 import pytest
 
 from repro.data import Compressibility
-from repro.schemes import EpochObservation, RateBasedScheme, StaticScheme
+from repro.schemes import FlowDecision, RateBasedScheme, StaticScheme
 from repro.schemes.replay import (
     HEADER,
     TraceFormatError,
-    decisions_from_result,
     dump_trace,
     load_records,
     load_trace,
     observations_from_result,
     replay,
-    replay_decisions,
     replay_many,
 )
 from repro.sim import ScenarioConfig, make_dynamic_factory, run_transfer_scenario
@@ -65,7 +63,12 @@ class TestV2Decisions:
 
     def test_roundtrip_with_decisions(self, result):
         observations = observations_from_result(result)
-        decisions = decisions_from_result(result)
+        decisions = [
+            FlowDecision(
+                flow_id=0, epoch=i, level_before=e.level, level_after=e.next_level
+            )
+            for i, e in enumerate(result.epochs)
+        ]
         buf = io.StringIO()
         dump_trace(observations, buf, decisions=decisions)
         buf.seek(0)
@@ -98,19 +101,6 @@ class TestV2Decisions:
         assert obs.app_rate == 5e7
         assert obs.flow_id == 0 and obs.active_flows == 1
         assert obs.worker_weight == 1.0
-
-    def test_recorded_decisions_match_replay(self, result):
-        """The recorded decision stream equals a fresh replay through
-        the same scheme — the self-containment property v2 exists for."""
-        observations = observations_from_result(result)
-        recorded = decisions_from_result(result)
-        replayed = replay_decisions(observations, RateBasedScheme(4))
-        assert [d.level_after for d in replayed] == [
-            d.level_after for d in recorded
-        ]
-        assert [d.level_before for d in replayed] == [
-            d.level_before for d in recorded
-        ]
 
 
 class TestFormatErrors:

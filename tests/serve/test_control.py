@@ -22,9 +22,17 @@ from repro.core.buffers import BufferPool
 from repro.core.controller import AdaptiveController
 from repro.core.levels import default_level_table
 from repro.core.pipeline import CodecThreadPool
+from repro.schemes import ManagedScheme, RateBasedScheme
 from repro.serve import ServeClient, ServeConfig, TransferServer
 from repro.serve.flow import Flow, FlowState
 from repro.serve.protocol import parse_control
+
+
+def echo_controller():
+    """An echo flow's controller, built as the flow's hello builds it."""
+    return AdaptiveController(
+        n_levels=4, clock_start=0.0, scheme=ManagedScheme(RateBasedScheme(4))
+    )
 
 
 class TestConfig:
@@ -62,7 +70,7 @@ class TestFlowApplyControl:
         )
         fl.state = FlowState.STREAMING
         fl.mode = "echo"
-        fl.controller = AdaptiveController(n_levels=4, clock_start=0.0)
+        fl.controller = echo_controller()
         yield fl
         a.close()
         b.close()
@@ -88,7 +96,7 @@ class TestFlowApplyControl:
         assert flow.apply_control(None, 1.0) is True
         assert flow._max_inflight == 4
         # Override cleared: the per-flow scheme decides again.
-        assert flow.controller._override is None
+        assert flow.controller.scheme.override is None
 
     def test_no_announcement_outside_streaming(self, flow):
         flow.state = FlowState.DRAINING
@@ -135,8 +143,8 @@ class TestServerControlPass:
             )
             flow.state = FlowState.STREAMING
             flow.mode = "echo"
-            flow.controller = AdaptiveController(n_levels=4, clock_start=0.0)
-            flow.controller.set_level_override(2)  # "currently compressing"
+            flow.controller = echo_controller()
+            flow.controller.scheme.set_override(2)  # "currently compressing"
             srv._flows[1] = flow
             srv._masks[1] = 0
             srv._announce(flow)

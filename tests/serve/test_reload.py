@@ -185,10 +185,10 @@ class TestLiveFlowRetune:
         try:
             assert _settle(lambda: _streaming(server) == 1)
             flow = _only_flow(server)
-            assert flow.controller.level_override is None  # adaptive
+            assert flow.controller.scheme.override is None  # adaptive
             server.request_reload({"level": "NO"})
             assert _settle(lambda: server.reloads == 1)
-            assert flow.controller.level_override == LEVELS.index_of("NO")
+            assert flow.controller.scheme.override == LEVELS.index_of("NO")
             assert flow.echo_level == LEVELS.index_of("NO")
             assert server.last_reload["changed"] == ("level",)
             assert server.last_reload["flows_updated"] == 1
@@ -196,7 +196,7 @@ class TestLiveFlowRetune:
             # And back to adaptive: the override lifts.
             server.request_reload({"level": None})
             assert _settle(lambda: server.reloads == 2)
-            assert flow.controller.level_override is None
+            assert flow.controller.scheme.override is None
             assert server.config.level is None
         finally:
             sock.close()

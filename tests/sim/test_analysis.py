@@ -1,21 +1,12 @@
-"""Tests for the NumPy trace-analysis helpers."""
+"""Tests for the trace summary statistics."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.data import Compressibility
 from repro.sim import ScenarioConfig, make_dynamic_factory, run_transfer_scenario
-from repro.sim.analysis import (
-    compare_traces,
-    controller_arrays,
-    level_occupancy,
-    rate_statistics,
-    resample_step,
-    trace_arrays,
-    uniform_grid,
-)
+from repro.sim.analysis import level_occupancy, rate_statistics
 from repro.sim.transfer import TransferEpoch, TransferResult
 
 
@@ -51,57 +42,7 @@ def synthetic_result():
     return res
 
 
-class TestTraceArrays:
-    def test_shapes_and_dtypes(self, result):
-        arrays = trace_arrays(result)
-        n = len(result.epochs)
-        for key, arr in arrays.items():
-            assert arr.shape == (n,), key
-        assert arrays["level"].dtype.kind == "i"
-        assert np.all(arrays["end"] >= arrays["start"])
-
-    def test_controller_arrays(self):
-        from repro.core import AdaptiveController
-
-        ctl = AdaptiveController(n_levels=4, epoch_seconds=1.0)
-        for i in range(1, 5):
-            ctl.record(100)
-            ctl.poll(float(i))
-        arrays = controller_arrays(ctl.trace)
-        assert arrays["level"].shape == (4,)
-        assert np.all(arrays["app_rate"] == 100.0)
-
-
-class TestResampleStep:
-    def test_step_semantics(self):
-        times = np.array([0.0, 2.0, 4.0])
-        values = np.array([1.0, 2.0, 3.0])
-        grid = np.array([0.0, 1.0, 2.0, 3.0, 3.9, 4.0, 10.0])
-        out = resample_step(times, values, grid)
-        assert list(out) == [1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0]
-
-    def test_before_first_sample_clamps(self):
-        out = resample_step(np.array([5.0]), np.array([7.0]), np.array([0.0, 9.0]))
-        assert list(out) == [7.0, 7.0]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            resample_step(np.array([]), np.array([]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            resample_step(np.array([2.0, 1.0]), np.array([1.0, 2.0]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            resample_step(np.array([1.0]), np.array([[1.0]]), np.array([0.0]))
-
-
 class TestSummaries:
-    def test_uniform_grid(self, result):
-        grid = uniform_grid(result, n_points=50)
-        assert grid.shape == (50,)
-        assert grid[0] == 0.0
-        assert grid[-1] == pytest.approx(result.completion_time)
-        with pytest.raises(ValueError):
-            uniform_grid(result, n_points=1)
-
     def test_level_occupancy_sums_to_one(self, result):
         occupancy = level_occupancy(result)
         assert sum(occupancy.values()) == pytest.approx(1.0)
@@ -117,8 +58,11 @@ class TestSummaries:
         assert stats["mean"] == pytest.approx(20.0)
         assert stats["min"] == 10.0
         assert stats["max"] == 30.0
+        assert stats["p50"] == 20.0
+        assert stats["p95"] == pytest.approx(29.0)
 
-    def test_compare_traces(self, result):
-        table = compare_traces([result])
-        assert "DYNAMIC" in table
-        assert table["DYNAMIC"]["mean"] > 0
+    def test_empty_trace(self):
+        empty = TransferResult(scheme_name="X")
+        assert level_occupancy(empty) == {}
+        with pytest.raises(ValueError, match="no duration"):
+            rate_statistics(empty)
